@@ -2,13 +2,15 @@
 
 Configs are INI files with nested sections; see the configs/ directory for
 examples.  Exit codes: 0 bound-holds, 1 bound-violated, 2 hypothesis
-unverified or violated, 3 config error.
+unverified or violated (including a map that fails on the orbit), 3 config
+error, 4 internal error (an unexpected exception; its traceback is printed).
 """
 
 import argparse
 import configparser
 import json
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import __version__, curves, distortion, scenarios
 from .distortion import BOUND_HOLDS, BOUND_VIOLATED, UNVERIFIED, HypothesisBudget
-from .errors import ConfigError, HypothesisViolationError, OutOfRegionError, SingularJacobianError
+from .errors import BdpError, ConfigError
 from .maps import MapSequence, polynomial_map
 
 ENGINES = ("thm-2.1", "thm-2.2", "main-thm", "nbdp", "holder")
@@ -27,6 +29,7 @@ EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_UNVERIFIED = 2
 EXIT_CONFIG = 3
+EXIT_ERROR = 4
 
 
 def _fmt(x):
@@ -220,6 +223,10 @@ def _materialize(cfg):
         if "epsilon" in cfg.budget_override:
             fields["epsilon"] = cfg.budget_override["epsilon"]
         budget = replace(budget, **fields)
+    if cfg.engine not in ONE_D_ENGINES and budget.C is None:
+        raise ConfigError(f"engine {cfg.engine} needs a budget C: add [budget] c = ...")
+    if cfg.engine == "holder" and budget.epsilon is None:
+        raise ConfigError("engine holder requires an epsilon (scenario param or [budget])")
     return seq, domain, budget
 
 
@@ -235,8 +242,6 @@ def run_experiment(cfg):
     elif cfg.engine == "main-thm":
         report = distortion.run_curve(seq, domain, cfg.samples, cfg.resolution, budget)
     elif cfg.engine == "holder":
-        if budget.epsilon is None:
-            raise ConfigError("engine holder requires an epsilon (scenario param or [budget])")
         report = distortion.run_curve_holder(seq, domain, cfg.samples, cfg.resolution, budget)
     else:  # nbdp
         report = distortion.arc_ratio_curve(
@@ -246,7 +251,7 @@ def run_experiment(cfg):
     code = {BOUND_HOLDS: EXIT_HOLDS, BOUND_VIOLATED: EXIT_VIOLATED, UNVERIFIED: EXIT_UNVERIFIED}[
         report.verdict
     ]
-    return _report_dict(cfg, report), _step_rows(report), code, report
+    return _report_dict(cfg, report), _step_rows(cfg, report), code, report
 
 
 def _report_dict(cfg, report):
@@ -285,13 +290,12 @@ def _report_dict(cfg, report):
     }
 
 
-def _step_rows(report):
+def _step_rows(cfg, report):
     budget_c = report.budget.C or 0.0
     rows = []
     cumulative = 0.0
-    one_d = not report.trace.pair_logs
     for rec in report.trace.per_step:
-        if one_d:
+        if cfg.engine in ONE_D_ENGINES:
             cumulative += budget_c * rec.length
         else:
             cumulative += budget_c * budget_c * (rec.alpha + rec.length)
@@ -369,21 +373,21 @@ def main(argv=None):
             _materialize(cfg)
             print(f"config ok: engine={cfg.engine}")
             return EXIT_HOLDS
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         report_dict, rows, code, report = run_experiment(cfg)
-    except ConfigError as exc:
+        written = _write_outputs(
+            cfg, report_dict, rows, args.output_dir, args.json_only, report.trace
+        )
+    except (ConfigError, ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (HypothesisViolationError, OutOfRegionError, SingularJacobianError) as exc:
+    except BdpError as exc:
         step = getattr(exc, "step", None)
         print(f"hypothesis failure{f' at step {step}' if step else ''}: {exc}", file=sys.stderr)
         return EXIT_UNVERIFIED
+    except Exception:  # a crash must never read as a verdict
+        traceback.print_exc()
+        return EXIT_ERROR
 
-    written = _write_outputs(cfg, report_dict, rows, args.output_dir, args.json_only, report.trace)
     print(f"verdict: {report_dict['verdict']}")
     for path in written:
         print(f"wrote {path}")

@@ -62,28 +62,26 @@ def _simpson(values, h):
     return h / 3.0 * (values[0] + values[-1] + 4 * values[1:-1:2].sum() + 2 * values[2:-2:2].sum())
 
 
+def _simpson_nodes(lo, hi, n):
+    """2n' + 1 nodes on [lo, hi], n' = n rounded up to even, and their spacing."""
+    n = int(n) + int(n) % 2
+    return np.linspace(lo, hi, 2 * n + 1), (hi - lo) / (2 * n)
+
+
+def simpson_richardson(values, h):
+    """Composite Simpson of ``values`` at node spacing ``h``, refined by one
+    Richardson step against spacing 2h: (value, error estimate).  The number
+    of intervals must be a multiple of 4, as ``_simpson_nodes`` gives."""
+    fine = _simpson(values, h)
+    coarse = _simpson(values[::2], 2 * h)
+    return fine + (fine - coarse) / 15.0, abs(fine - coarse) / 15.0
+
+
 def length(curve, resolution=None):
     """Arc length ∫‖γ'‖ dt by composite Simpson with one Richardson refinement."""
-    n = resolution or curve.sample_resolution
-    n += n % 2
-    a, b = curve.domain
-    ts = np.linspace(a, b, 2 * n + 1)
+    ts, h = _simpson_nodes(*curve.domain, resolution or curve.sample_resolution)
     _, sp = _speeds(curve, ts)
-    coarse = _simpson(sp[::2], (b - a) / n)
-    fine = _simpson(sp, (b - a) / (2 * n))
-    return fine + (fine - coarse) / 15.0
-
-
-def length_error_estimate(curve, resolution=None):
-    """Richardson estimate of the quadrature error of ``length``."""
-    n = resolution or curve.sample_resolution
-    n += n % 2
-    a, b = curve.domain
-    ts = np.linspace(a, b, 2 * n + 1)
-    _, sp = _speeds(curve, ts)
-    coarse = _simpson(sp[::2], (b - a) / n)
-    fine = _simpson(sp, (b - a) / (2 * n))
-    return abs(fine - coarse) / 15.0
+    return simpson_richardson(sp, h)[0]
 
 
 def max_angle_of_tangents(tans):

@@ -15,8 +15,10 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .curves import NaturalCurve, max_angle_of_tangents, reparameterize_natural, _simpson
-from .errors import HypothesisViolationError, OutOfRegionError
+from .curves import NaturalCurve, _simpson, _simpson_nodes, max_angle_of_tangents
+from .curves import reparameterize_natural, simpson_richardson
+from .errors import HypothesisViolationError
+from .maps import advance
 
 BOUND_HOLDS = "bound-holds"
 BOUND_VIOLATED = "bound-violated"
@@ -52,16 +54,30 @@ class HypothesisBudget:
 
 @dataclass
 class StepRecord:
+    """Measurements of step i on F_{i−1}∘γ0 (samples x_k, tangents u_k, J = Df_i).
+
+    Curve runs: ``lemma1_increment`` is the max over sample pairs (k, l) of
+    |log(‖J(x_k)u_k‖/‖J(x_k)u_l‖)| − |log(‖u_k‖/‖u_l‖)|, ``lemma2_increment``
+    the max of |log(‖J(x_k)u_l‖/‖J(x_l)u_l‖)|, and ``lemma1_pair`` and
+    ``lemma2_pair`` their argmax pairs (k, l).  1D runs: ``lemma2_increment``
+    is the spread of log |f_i'| on the grid and both pairs are None.
+    """
+
     index: int
     length: float
     alpha: float
     lemma1_increment: float
     lemma2_increment: float
     length_err: float = 0.0
+    lemma1_pair: Optional[tuple] = None
+    lemma2_pair: Optional[tuple] = None
 
 
 @dataclass
 class DistortionTrace:
+    """Per-step records and run totals; the pairwise lemma data is kept as
+    each step's maxima and argmax pairs, so a trace holds O(n + S) numbers."""
+
     n: int
     per_step: list
     sum_L: float
@@ -70,8 +86,6 @@ class DistortionTrace:
     sample_params: np.ndarray
     sample_logs: Optional[np.ndarray] = None  # log ‖u_n‖ per sample parameter
     quad_err: float = 0.0
-    # per-step pairwise data for the lemma checks (curve runs only)
-    pair_logs: list = field(default_factory=list)  # |log(A[k,k]/A[k,l])| base etc.
     notes: list = field(default_factory=list)
 
 
@@ -104,31 +118,7 @@ def bound_curve(C, L, alpha):
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation helpers
-
-
-def _eval_batch(m, pts, step=None):
-    pts = np.atleast_2d(pts)
-    if m.func_batch is not None:
-        out = np.asarray(m.func_batch(pts), dtype=float)
-    else:
-        out = np.array([m.func(x) for x in pts], dtype=float)
-    if m.region is not None:
-        inside = np.all(pts >= m.region.lo - 1e-12, axis=1) & np.all(
-            pts <= m.region.hi + 1e-12, axis=1
-        )
-        if not inside.all():
-            raise OutOfRegionError(pts[~inside][0], step=step)
-    if not np.all(np.isfinite(out)):
-        raise HypothesisViolationError("non-finite image point", step=step)
-    return out
-
-
-def _jac_batch(m, pts):
-    pts = np.atleast_2d(pts)
-    if m.jacobian_batch is not None:
-        return np.asarray(m.jacobian_batch(pts), dtype=float)
-    return np.array([m.jacobian_at(x) for x in pts], dtype=float)
+# 1D engines
 
 
 def _second_sup_1d(m, pts):
@@ -138,10 +128,6 @@ def _second_sup_1d(m, pts):
         jet = jets.push_jet2(m, np.atleast_1d(x), np.ones(1), np.ones(1))
         best = max(best, abs(float(jet.second[0])) / abs(float(jet.first[0])))
     return best
-
-
-# ---------------------------------------------------------------------------
-# 1D engines
 
 
 def run_1d(seq, interval, samples, budget):
@@ -156,27 +142,28 @@ def run_1d(seq, interval, samples, budget):
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("degenerate initial interval")
+    if int(samples) < 2:
+        raise ValueError("run_1d needs at least 2 samples (both endpoints)")
     grid = np.linspace(lo, hi, int(samples))
     pts = grid[:, None]
-    ends = np.array([[lo], [hi]])
 
     log_sum = np.zeros(len(grid))
     per_step = []
     sum_L = 0.0
     measured_C = 0.0
     need_c = budget.C is None
-    orbit_pts = pts
     for j, m in enumerate(seq, start=1):
-        deriv = _jac_batch(m, orbit_pts)[:, 0, 0]
+        jac, image, _ = advance(m, pts, step=j)
+        deriv = jac[:, 0, 0]
         if np.any(deriv == 0) or (np.any(deriv > 0) and np.any(deriv < 0)):
             raise HypothesisViolationError(
                 f"derivative vanishes or changes sign on step interval {j}", step=j
             )
         if need_c:
-            measured_C = max(measured_C, _second_sup_1d(m, orbit_pts[:, 0]))
+            measured_C = max(measured_C, _second_sup_1d(m, pts[:, 0]))
         step_logs = np.log(np.abs(deriv))
         log_sum += step_logs
-        seg = abs(float(ends[1, 0] - ends[0, 0]))
+        seg = abs(float(pts[-1, 0] - pts[0, 0]))  # the grid ends are lo and hi
         sum_L += seg
         per_step.append(
             StepRecord(
@@ -187,8 +174,7 @@ def run_1d(seq, interval, samples, budget):
                 lemma2_increment=float(step_logs.max() - step_logs.min()),
             )
         )
-        orbit_pts = _eval_batch(m, orbit_pts, step=j)
-        ends = _eval_batch(m, ends, step=j)
+        pts = image
 
     empirical = float(log_sum.max() - log_sum.min())
     trace = DistortionTrace(
@@ -232,7 +218,7 @@ def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
 
     ends = np.array([[sub1[0]], [sub1[1]], [sub2[0]], [sub2[1]]])
     for j, m in enumerate(seq, start=1):
-        ends = _eval_batch(m, ends, step=j)
+        _, ends, _ = advance(m, ends, step=j)
     num = abs(float(ends[1, 0] - ends[0, 0]))
     den = abs(float(ends[3, 0] - ends[2, 0]))
     ratio = num / den
@@ -270,46 +256,46 @@ def _angle_subset(n_quad_nodes, limit=257):
     return np.arange(0, n_quad_nodes, stride)
 
 
+def _argmax_pair(a):
+    k, l = np.unravel_index(np.argmax(a), a.shape)
+    return float(a[k, l]), (int(k), int(l))
+
+
 def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
-    gamma0 = _prepare_curve(gamma0, resolution)
-    d = gamma0.dim
-    if seq.dim != d:
-        raise ValueError("curve and maps have different dimensions")
-    a, b = gamma0.domain
-    nq = int(resolution) + int(resolution) % 2
-    t_quad = np.linspace(a, b, 2 * nq + 1)
-    t_s = np.linspace(a, b, int(samples))
-    h = (b - a) / (2 * nq)
-
-    p_q = np.array([gamma0.pos(t) for t in t_quad])
-    w_q = np.array([gamma0.tan(t) for t in t_quad])
-    p_s = np.array([gamma0.pos(t) for t in t_s])
-    w_s = np.array([gamma0.tan(t) for t in t_s])
-    angle_idx = _angle_subset(len(t_quad))
-
+    if budget.C is None:
+        raise ValueError("curve engines need a budget C (analytic or sampled)")
     eps = budget.epsilon
     if holder and eps is None:
         raise ValueError("holder run requires budget epsilon")
+    gamma0 = _prepare_curve(gamma0, resolution)
+    if seq.dim != gamma0.dim:
+        raise ValueError("curve and maps have different dimensions")
+    a, b = gamma0.domain
+    t_quad, h = _simpson_nodes(a, b, resolution)
+    t_s = np.linspace(a, b, int(samples))
+    # quadrature nodes first, then the S sample nodes: one batch per step
+    nodes = np.concatenate([t_quad, t_s])
+    pts = np.array([gamma0.pos(t) for t in nodes])
+    tans = np.array([gamma0.tan(t) for t in nodes])
+    n_q = len(t_quad)
+    angle_idx = _angle_subset(n_q)
 
     per_step = []
-    pair_logs = []
     sum_L = 0.0
     sum_alpha = 0.0
     quad_err = 0.0
     for i, m in enumerate(seq, start=1):
+        w_q, w_s = tans[:n_q], tans[n_q:]
         speeds = np.linalg.norm(w_q, axis=1)
         if np.any(speeds <= 0):
             raise HypothesisViolationError(
                 "image tangent vanished (singular Jacobian along curve)", step=i
             )
-        fine = _simpson(speeds, h)
-        coarse = _simpson(speeds[::2], 2 * h)
-        l_i = fine + (fine - coarse) / 15.0
-        err_i = abs(fine - coarse) / 15.0
+        l_i, err_i = simpson_richardson(speeds, h)
         alpha_i = max_angle_of_tangents(np.vstack([w_q[angle_idx], w_s]))
 
-        jac_s = _jac_batch(m, p_s)
-        cross = np.einsum("kab,lb->kla", jac_s, w_s)
+        jac, pts, tans = advance(m, pts, tans, step=i)  # w_q, w_s still view the old tans
+        cross = np.einsum("kab,lb->kla", jac[n_q:], w_s)
         norms = np.linalg.norm(cross, axis=2)  # norms[k, l] = ||J(x_k) u_l||
         if np.any(norms.diagonal() <= 0):
             raise HypothesisViolationError("singular Jacobian at a sample point", step=i)
@@ -318,8 +304,9 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
         lhs1 = np.abs(log_n.diagonal()[:, None] - log_n)
         base = np.abs(u_log[:, None] - u_log[None, :])
         lhs2 = np.abs(log_n - log_n.diagonal()[None, :])
-        lemma1_inc = float(np.clip(lhs1 - base, 0.0, None).max())
-        lemma2_inc = float(lhs2.max())
+        # both diagonals are exactly 0, so the lemma-1 maximum is never negative
+        lemma1_inc, lemma1_pair = _argmax_pair(lhs1 - base)
+        lemma2_inc, lemma2_pair = _argmax_pair(lhs2)
 
         sum_L += l_i**eps if holder else l_i
         sum_alpha += alpha_i
@@ -332,16 +319,12 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
                 lemma1_increment=lemma1_inc,
                 lemma2_increment=lemma2_inc,
                 length_err=err_i,
+                lemma1_pair=lemma1_pair,
+                lemma2_pair=lemma2_pair,
             )
         )
-        pair_logs.append({"lhs1": lhs1, "base": base, "lhs2": lhs2})
 
-        w_q = np.einsum("kab,kb->ka", _jac_batch(m, p_q), w_q)
-        w_s = np.einsum("kab,kb->ka", jac_s, w_s)
-        p_q = _eval_batch(m, p_q, step=i)
-        p_s = _eval_batch(m, p_s, step=i)
-
-    final_norms = np.linalg.norm(w_s, axis=1)
+    final_norms = np.linalg.norm(tans[n_q:], axis=1)
     if np.any(final_norms <= 0):
         raise HypothesisViolationError("final tangent vanished", step=len(seq))
     log_norms = np.log(final_norms)
@@ -356,7 +339,6 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
         sample_params=t_s,
         sample_logs=log_norms,
         quad_err=quad_err,
-        pair_logs=pair_logs,
     )
     return trace, empirical
 
@@ -376,9 +358,6 @@ def _resolve_verdict(empirical, theo_log_k, provenances, budget_ok, allowance=0.
 
 def _finish_curve_report(trace, empirical, budget, extras=None):
     c_used = budget.C
-    c_prov = budget.c_prov if budget.C is not None else "sampled"
-    if c_used is None:
-        raise ValueError("curve engines need a budget C (analytic or sampled)")
     l_used = budget.L if budget.L is not None else trace.sum_L
     l_prov = budget.l_prov if budget.L is not None else "sampled"
     a_used = budget.alpha if budget.alpha is not None else trace.sum_alpha
@@ -389,7 +368,7 @@ def _finish_curve_report(trace, empirical, budget, extras=None):
         budget.alpha is None or trace.sum_alpha <= budget.alpha + REPORT_TOL
     )
     verdict, notes = _resolve_verdict(
-        empirical, theo, [c_prov, l_prov, a_prov], budget_ok, allowance
+        empirical, theo, [budget.c_prov, l_prov, a_prov], budget_ok, allowance
     )
     trace.notes.extend(notes)
     resolved = HypothesisBudget(
@@ -397,7 +376,7 @@ def _finish_curve_report(trace, empirical, budget, extras=None):
         L=l_used,
         alpha=a_used,
         epsilon=budget.epsilon,
-        c_prov=c_prov,
+        c_prov=budget.c_prov,
         l_prov=l_prov,
         a_prov=a_prov,
     )
@@ -438,18 +417,17 @@ def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
             raise ValueError(f"subinterval {sub} outside curve domain ({a}, {b})")
     base = run_curve(seq, gamma0, samples, resolution, budget)
 
-    def _image_arc_length(sub):
-        nq = int(resolution) + int(resolution) % 2
-        ts = np.linspace(sub[0], sub[1], 2 * nq + 1)
-        pts = np.array([gamma0.pos(t) for t in ts])
-        tans = np.array([gamma0.tan(t) for t in ts])
-        for i, m in enumerate(seq, start=1):
-            tans = np.einsum("kab,kb->ka", _jac_batch(m, pts), tans)
-            pts = _eval_batch(m, pts, step=i)
-        return _simpson(np.linalg.norm(tans, axis=1), (sub[1] - sub[0]) / (2 * nq))
-
-    len1 = _image_arc_length(sub1)
-    len2 = _image_arc_length(sub2)
+    # both subcurves' nodes in one batch; plain Simpson on each half
+    ts1, h1 = _simpson_nodes(sub1[0], sub1[1], resolution)
+    ts2, h2 = _simpson_nodes(sub2[0], sub2[1], resolution)
+    nodes = np.concatenate([ts1, ts2])
+    pts = np.array([gamma0.pos(t) for t in nodes])
+    tans = np.array([gamma0.tan(t) for t in nodes])
+    for i, m in enumerate(seq, start=1):
+        _, pts, tans = advance(m, pts, tans, step=i)
+    speeds = np.linalg.norm(tans, axis=1)
+    len1 = _simpson(speeds[: len(ts1)], h1)
+    len2 = _simpson(speeds[len(ts1) :], h2)
     ratio = len1 / len2
     r = abs(sub1[1] - sub1[0]) / abs(sub2[1] - sub2[0])
     empirical = abs(math.log(ratio / r))
@@ -488,31 +466,23 @@ def lemma_step_checks(trace, C, tol=REPORT_TOL):
     Lemma 1: |log(‖J·u‖/‖J·v‖)| ≤ |log(‖u‖/‖v‖)| + C²·α(F_{i−1}∘γ0).
     Lemma 2: |log(‖J(x)·v‖/‖J(y)·v‖)| ≤ C²·L(F_{i−1}∘γ0).
 
-    Returns one StepCheck per step; the lemma-2 tolerance includes a
-    quadrature allowance C²·(length error estimate).
+    The right-hand sides do not depend on the pair, so the recorded maxima
+    decide each step for any C.  Returns one StepCheck per step; the lemma-2
+    tolerance includes a quadrature allowance C²·(length error estimate).
     """
-    if not trace.pair_logs:
+    if trace.per_step[0].lemma1_pair is None:
         raise ValueError("trace carries no per-step pair data (1D run?)")
     checks = []
-    for rec, data in zip(trace.per_step, trace.pair_logs):
-        rhs1 = data["base"] + C * C * rec.alpha
-        rhs2 = C * C * rec.length
-        excess1 = data["lhs1"] - rhs1
-        excess2 = data["lhs2"] - rhs2
-        worst1 = np.unravel_index(np.argmax(excess1), excess1.shape)
-        worst2 = np.unravel_index(np.argmax(excess2), excess2.shape)
-        slack1 = -float(excess1.max())
-        slack2 = -float(excess2.max())
-        tol2 = tol + C * C * rec.length_err
-        ok = excess1.max() <= tol and excess2.max() <= tol2
-        worst = worst1 if excess1.max() >= excess2.max() else worst2
+    for rec in trace.per_step:
+        excess1 = rec.lemma1_increment - C * C * rec.alpha
+        excess2 = rec.lemma2_increment - C * C * rec.length
         checks.append(
             StepCheck(
                 index=rec.index,
-                passed=bool(ok),
-                lemma1_slack=slack1,
-                lemma2_slack=slack2,
-                worst_pair=tuple(int(w) for w in worst),
+                passed=bool(excess1 <= tol and excess2 <= tol + C * C * rec.length_err),
+                lemma1_slack=-excess1,
+                lemma2_slack=-excess2,
+                worst_pair=rec.lemma1_pair if excess1 >= excess2 else rec.lemma2_pair,
             )
         )
     return checks

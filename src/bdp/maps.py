@@ -43,7 +43,8 @@ class Box:
         return self.lo.size
 
     def contains(self, x, pad=1e-12):
-        return bool(np.all(x >= self.lo - pad) and np.all(x <= self.hi + pad))
+        """True where ``x``, one point or each row of a point batch, lies in the box."""
+        return np.all(x >= self.lo - pad, axis=-1) & np.all(x <= self.hi + pad, axis=-1)
 
     def grid(self, resolution):
         """Cartesian grid with ``resolution`` points per axis, shape (N, d)."""
@@ -151,6 +152,31 @@ class MapSequence:
     @property
     def dim(self):
         return self.maps[0].dim
+
+
+def advance(m, pts, tans=None, step=None):
+    """One step of the (N, d) batch ``pts`` through ``m``: (Jacobians, images, pushed).
+
+    Checks the region first, as ``jets.eval_map`` does, then calls the Jacobian
+    and the map once each on the whole batch; a non-finite image raises
+    ``HypothesisViolationError``.  ``pushed`` is J_k·tans[k], or None without ``tans``."""
+    pts = np.atleast_2d(pts)
+    if m.region is not None:
+        inside = m.region.contains(pts)
+        if not inside.all():
+            raise OutOfRegionError(pts[~inside][0], step=step)
+    if m.jacobian_batch is not None:
+        jac = np.asarray(m.jacobian_batch(pts), dtype=float)
+    else:
+        jac = np.array([m.jacobian_at(x) for x in pts], dtype=float)
+    if m.func_batch is not None:
+        image = np.asarray(m.func_batch(pts), dtype=float)
+    else:
+        image = np.array([m.func(x) for x in pts], dtype=float)
+    if not np.all(np.isfinite(image)):
+        raise HypothesisViolationError("non-finite image point", step=step)
+    pushed = None if tans is None else np.einsum("kab,kb->ka", jac, tans)
+    return jac, image, pushed
 
 
 def apply_sequence(seq, x):

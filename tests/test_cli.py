@@ -3,10 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bdp import distortion
 from bdp.cli import (
     EXIT_CONFIG,
+    EXIT_ERROR,
     EXIT_HOLDS,
     EXIT_UNVERIFIED,
     EXIT_VIOLATED,
@@ -86,6 +89,57 @@ def test_run_unverified(tmp_path):
 def test_run_config_error(tmp_path):
     code = run_cli("run", str(CONFIGS / "missing_subintervals.cfg"), "--output-dir", str(tmp_path))
     assert code == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# run: failures are never read as verdicts
+
+INLINE_CURVE_NO_BUDGET = (
+    "[experiment]\nengine = main-thm\nsamples = 20\nresolution = 16\n"
+    "[map.0]\ncomp0 = 0.5 1 0\ncomp1 = 0.5 0 1\n"
+    "[curve]\ntype = segment\np0 = 0 0\np1 = 1 0\n"
+)
+
+
+def test_inline_curve_without_budget_is_a_config_error(tmp_path, monkeypatch):
+    cfg = tmp_path / "nobudget.cfg"
+    cfg.write_text(INLINE_CURVE_NO_BUDGET)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran before the missing budget was reported")
+
+    monkeypatch.setattr(distortion, "run_curve", must_not_run)
+    assert run_cli("check", str(cfg)) == EXIT_CONFIG
+    assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
+
+
+def test_overflowing_inline_map_is_unverified(tmp_path):
+    # c·x⁵ on [1.2, 1.7]: the orbit overflows within the six steps
+    maps = "".join(f"[map.{j}]\ncomp0 = 10 5\n" for j in range(1, 7))
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "[experiment]\nengine = thm-2.1\nsamples = 50\n" + maps + "[interval]\nlo = 1.2\nhi = 1.7\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_UNVERIFIED
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_unparsable_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "noheader.cfg"
+    cfg.write_text("engine = main-thm\n")
+    assert run_cli("check", str(cfg)) == EXIT_CONFIG
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("simulated engine bug")
+
+    monkeypatch.setattr(distortion, "run_curve", crash)
+    code = run_cli("run", str(CONFIGS / "rotations_main.cfg"), "--output-dir", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert code not in (EXIT_HOLDS, EXIT_VIOLATED, EXIT_UNVERIFIED, EXIT_CONFIG)
+    assert "simulated engine bug" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -214,3 +215,42 @@ def test_n_independence_of_contraction_family():
     assert values[5] <= values[20] + 1e-12
     assert values[20] <= values[40] + 1e-12
     assert values[40] < 2.0
+
+
+def _arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through dataclasses and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _arrays(item, seen)]
+    return []
+
+
+def test_lemma_checks_fail_without_budget_and_trace_stays_small():
+    seq, gamma0, budget = build_sequence(ScenarioSpec("planar-contraction-shear", n=5, seed=2))
+    samples = 60
+    rep = run_curve(seq, gamma0, samples, 128, budget)
+
+    # C = 0 leaves no room for the nonzero lemma maxima: every step fails
+    checks = lemma_step_checks(rep.trace, 0.0)
+    assert [c.passed for c in checks] == [False] * 5
+    assert first_lemma_violation(checks) == (1, (23, 59))
+    for c, rec in zip(checks, rep.trace.per_step):
+        assert c.lemma1_slack == -rec.lemma1_increment
+        assert c.lemma2_slack == -rec.lemma2_increment
+        assert c.worst_pair in (rec.lemma1_pair, rec.lemma2_pair)
+
+    checks = lemma_step_checks(rep.trace, budget.C)
+    assert all(c.passed for c in checks)
+    assert first_lemma_violation(checks) is None
+
+    arrays = _arrays(rep.trace)
+    assert arrays and max(a.size for a in arrays) <= samples

@@ -32,7 +32,7 @@ from .distortion import (
     run_curve,
     run_curve_holder,
 )
-from .jets import FDConfig, Jet1, Jet2, fd_oracle, push_jet1, push_jet2
+from .jets import Jet1, Jet2, fd_oracle, push_jet1, push_jet2
 from .maps import (
     Box,
     MapSequence,
@@ -40,9 +40,12 @@ from .maps import (
     SmoothMap,
     apply_sequence,
     estimate_seminorms,
+    images,
     inverse_jacobian_norm,
+    jacobians,
     operator_norm,
     polynomial_map,
+    second_derivatives,
 )
 from .scenarios import (
     SCENARIOS,

@@ -227,6 +227,10 @@ def _materialize(cfg):
         raise ConfigError(f"engine {cfg.engine} needs a budget C: add [budget] c = ...")
     if cfg.engine == "holder" and budget.epsilon is None:
         raise ConfigError("engine holder requires an epsilon (scenario param or [budget])")
+    if cfg.engine in RATIO_ENGINES:  # nbdp subintervals live on the natural (arc-length) domain
+        if kind == "curve" and not isinstance(domain, curves.NaturalCurve):
+            domain = curves.reparameterize_natural(domain, cfg.resolution)
+        distortion.check_subintervals(domain if kind == "1d" else domain.domain, *cfg.subintervals)
     return seq, domain, budget
 
 

@@ -6,8 +6,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import jets
 from .errors import RegularityError
+from .maps import images, jacobians
 
 _EPS = np.finfo(float).eps
 
@@ -174,11 +174,10 @@ def pushforward(curve, m):
     """The curve t ↦ f(γ(t)) with chain-rule tangent D_{γ(t)} f · γ'(t)."""
 
     def position(t):
-        return jets.eval_map(m, curve.pos(t))
+        return images(m, curve.pos(t))[0]
 
     def tangent(t):
-        jet = jets.push_jet1(m, curve.pos(t), curve.tan(t))
-        return jet.deriv
+        return jacobians(m, curve.pos(t))[0] @ curve.tan(t)
 
     return ParamCurve(
         domain=curve.domain,

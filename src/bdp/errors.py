@@ -19,10 +19,6 @@ class OutOfRegionError(BdpError):
         super().__init__(f"evaluation outside validity region{where}: {point}")
 
 
-class EvaluationError(BdpError):
-    """A map produced a non-finite value."""
-
-
 class SingularJacobianError(BdpError):
     """The Jacobian is singular at the evaluation point."""
 

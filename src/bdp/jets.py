@@ -1,33 +1,15 @@
-"""First and second directional derivatives of maps (jet propagation).
-
-A map carries optional analytic derivative callbacks; when they are absent
-the functions here fall back to central finite differences.  ``fd_oracle``
-never touches the callbacks and serves as the independent cross-check.
+"""Jets: a map's value with its first, or first and second, directional
+derivatives at one point, read from the evaluator in ``maps``.  ``fd_oracle``
+evaluates the map alone, never a derivative callback, and serves as the
+independent cross-check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, OutOfRegionError
-
-_EPS = np.finfo(float).eps
-
-#: default step scale for first derivatives (truncation/round-off balance)
-STEP1 = _EPS ** (1.0 / 3.0)
-#: default step scale for second derivatives
-STEP2 = _EPS ** (1.0 / 4.0)
-
-
-@dataclass(frozen=True)
-class FDConfig:
-    """Finite-difference configuration: base step scale, central order 2."""
-
-    step_scale: float = STEP1
-
-    def __post_init__(self):
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
+from .errors import DimensionMismatchError
+from .maps import STEP1, STEP2, images, jacobians, second_derivatives
 
 
 @dataclass(frozen=True)
@@ -50,89 +32,36 @@ def _as_vec(x, d, name):
     return x
 
 
-def eval_map(m, x):
-    """Evaluate ``m`` at ``x``, enforcing the validity region and finiteness."""
-    x = _as_vec(x, m.dim, "x")
-    region = getattr(m, "region", None)
-    if region is not None and not region.contains(x):
-        raise OutOfRegionError(x)
-    y = np.asarray(m.func(x), dtype=float)
-    if y.shape != (m.dim,):
-        raise DimensionMismatchError(f"map output has shape {y.shape}, expected ({m.dim},)")
-    if not np.all(np.isfinite(y)):
-        raise EvaluationError(f"non-finite map value at {x}")
-    return y
-
-
-def _step(x, scale):
-    return scale * max(1.0, float(np.linalg.norm(x)))
-
-
-def _fd_dir1(m, x, v, h):
-    # central difference of t -> f(x + t v) at t = 0
-    return (eval_map(m, x + h * v) - eval_map(m, x - h * v)) / (2.0 * h)
-
-
-def push_jet1(m, x, v, cfg=None):
+def push_jet1(m, x, v):
     """Value and first directional derivative: (f(x), D_x f · v)."""
     x = _as_vec(x, m.dim, "x")
     v = _as_vec(v, m.dim, "v")
-    value = eval_map(m, x)
-    if m.jacobian is not None:
-        deriv = np.asarray(m.jacobian(x), dtype=float) @ v
-    else:
-        h = _step(x, cfg.step_scale if cfg is not None else STEP1)
-        deriv = _fd_dir1(m, x, v, h)
-    return Jet1(value, deriv)
+    return Jet1(images(m, x)[0], jacobians(m, x)[0] @ v)
 
 
-def push_jet2(m, x, u, v, cfg=None):
-    """Value, first derivative along v and bilinear second derivative D²_x f(u, v).
-
-    The second derivative falls back to a central difference (along v) of the
-    directional first derivative along u, nested when no Jacobian is available.
-    """
+def push_jet2(m, x, u, v):
+    """Value, first derivative along v and bilinear second derivative D²_x f(u, v)
+    (``maps.second_derivatives`` has the finite-difference fallbacks)."""
     x = _as_vec(x, m.dim, "x")
     u = _as_vec(u, m.dim, "u")
     v = _as_vec(v, m.dim, "v")
-    value = eval_map(m, x)
-    if m.jacobian is not None:
-        first = np.asarray(m.jacobian(x), dtype=float) @ v
-    else:
-        first = _fd_dir1(m, x, v, _step(x, STEP1))
-
-    if m.second is not None:
-        second = np.asarray(m.second(x, u, v), dtype=float)
-    elif m.jacobian is not None:
-        h = _step(x, STEP1 if cfg is None else cfg.step_scale)
-        ju_p = np.asarray(m.jacobian(x + h * v), dtype=float) @ u
-        ju_m = np.asarray(m.jacobian(x - h * v), dtype=float) @ u
-        second = (ju_p - ju_m) / (2.0 * h)
-    else:
-        h = _step(x, STEP2 if cfg is None else cfg.step_scale)
-        hi = _step(x, STEP2)
-        ju_p = _fd_dir1(m, x + h * v, u, hi)
-        ju_m = _fd_dir1(m, x - h * v, u, hi)
-        second = (ju_p - ju_m) / (2.0 * h)
-    return Jet2(value, first, second)
+    value = images(m, x)[0]
+    return Jet2(value, jacobians(m, x)[0] @ v, second_derivatives(m, x[None], u, v)[0])
 
 
-def fd_oracle(m, x, u, v, cfg=None):
-    """Purely finite-difference jet, independent of any analytic callbacks.
+def fd_oracle(m, x, u, v):
+    """Purely finite-difference jet from map values alone.
 
     The second derivative uses the 4-point cross stencil, deliberately a
-    different scheme from the nested differences in ``push_jet2``.
+    different scheme from the nested differences of ``push_jet2``.
     """
     x = _as_vec(x, m.dim, "x")
     u = _as_vec(u, m.dim, "u")
     v = _as_vec(v, m.dim, "v")
-    value = eval_map(m, x)
-    first = _fd_dir1(m, x, v, _step(x, STEP1 if cfg is None else cfg.step_scale))
-    h = _step(x, STEP2 if cfg is None else cfg.step_scale)
-    second = (
-        eval_map(m, x + h * u + h * v)
-        - eval_map(m, x + h * u - h * v)
-        - eval_map(m, x - h * u + h * v)
-        + eval_map(m, x - h * u - h * v)
-    ) / (4.0 * h * h)
-    return Jet2(value, first, second)
+    scale = max(1.0, float(np.linalg.norm(x)))
+    h1, h = STEP1 * scale, STEP2 * scale
+    cross = [x + h * u + h * v, x + h * u - h * v, x - h * u + h * v, x - h * u - h * v]
+    f = images(m, [x, x + h1 * v, x - h1 * v, *cross])
+    first = (f[1] - f[2]) / (2.0 * h1)
+    second = (f[3] - f[4] - f[5] + f[6]) / (4.0 * h * h)
+    return Jet2(f[0], first, second)

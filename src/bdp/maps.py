@@ -1,18 +1,21 @@
-"""Smooth maps, sequences of maps, and seminorm estimation.
+"""Smooth maps, map sequences, the evaluator, and seminorm estimation.
 
-A ``SmoothMap`` bundles an evaluator with optional analytic derivative and
-inverse callbacks and a validity region.  ``estimate_seminorms`` measures the
-C¹/C²/Hölder seminorms on a grid; sampled values are lower bounds of the true
-suprema, while maps may carry trusted analytic annotations.
+A ``SmoothMap`` bundles value callbacks (batch or one-point), optional
+analytic derivative callbacks and a validity region.  ``images``,
+``jacobians`` and ``second_derivatives`` are the one evaluator: a single
+point is a batch of one, and maps without derivative callbacks get finite
+differences there.  ``estimate_seminorms`` measures the C¹/C²/Hölder
+seminorms on a grid; sampled values are lower bounds of the true suprema,
+while maps may carry trusted analytic annotations.
 """
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import jets
 from .errors import (
     DimensionMismatchError,
     HypothesisViolationError,
@@ -20,6 +23,14 @@ from .errors import (
     SingularJacobianError,
 )
 
+_EPS = np.finfo(float).eps
+
+#: finite-difference step scale for first derivatives (truncation/round-off balance)
+STEP1 = _EPS ** (1.0 / 3.0)
+#: finite-difference step scale for the nested differences of second derivatives
+STEP2 = _EPS ** (1.0 / 4.0)
+#: most grid-point pairs the sampled Hölder quotient visits
+HOLDER_PAIR_LIMIT = 100_000
 SINGULARITY_RTOL = 1e-14
 
 
@@ -90,39 +101,46 @@ class SeminormEstimate:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A C² map ℝ^d → ℝ^d with optional analytic structure.
+    """A C² map ℝ^d → ℝ^d with optional analytic structure, evaluated
+    through ``images``, ``jacobians`` and ``second_derivatives``.
 
-    ``func`` maps a (d,) vector to a (d,) vector.  ``jacobian`` returns the
-    (d, d) total derivative, ``second`` the bilinear directional second
-    derivative D²_x f(u, v) as a (d,) vector.  ``region`` of None means all
-    of ℝ^d.
+    ``func_batch``: (N, d) points → (N, d) values; ``jacobian_batch``: → (N,
+    d, d).  ``func`` and ``jacobian`` are their one-point forms; one left out
+    beside its batch callback is derived as a batch of one.  ``second`` is
+    D²_x f(u, v) as a (d,) vector.  ``region`` of None means all of ℝ^d.
     """
 
     dim: int
-    func: Callable
+    func: Optional[Callable] = None
     jacobian: Optional[Callable] = None
     second: Optional[Callable] = None
-    inverse: Optional[Callable] = None
     region: Optional[Box] = None
     name: str = ""
     seminorms: Optional[SeminormEstimate] = None
-    # optional vectorized evaluators over point batches of shape (N, d)
     func_batch: Optional[Callable] = None
     jacobian_batch: Optional[Callable] = None
 
-    def __call__(self, x):
-        return jets.eval_map(self, np.asarray(x, dtype=float))
+    def __post_init__(self):
+        if self.func is None and self.func_batch is None:
+            raise ValueError("a map needs func or func_batch")
+        for point, batch in (("func", "func_batch"), ("jacobian", "jacobian_batch")):
+            fn, batch_fn = getattr(self, point), getattr(self, batch)
+            # a derived callback is derived again, so it follows a replaced batch callback
+            if batch_fn is not None and (fn is None or getattr(fn, "func", None) is _one_row):
+                object.__setattr__(self, point, partial(_one_row, batch_fn))
 
-    def jacobian_at(self, x):
-        """The (d, d) Jacobian, analytic or column-by-column finite differences."""
-        x = np.asarray(x, dtype=float)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        cols = [jets.push_jet1(self, x, e).deriv for e in np.eye(self.dim)]
-        return np.column_stack(cols)
+    def __call__(self, x):
+        """f at one (d,) point, or the (N, d) values of a point batch."""
+        values = images(self, x)
+        return values[0] if np.ndim(x) == 1 else values
 
     def with_seminorms(self, estimate):
         return replace(self, seminorms=estimate)
+
+
+def _one_row(batch, x):
+    """The one-point form of a batch callback: the point as a batch of one."""
+    return batch(np.asarray(x, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -154,41 +172,143 @@ class MapSequence:
         return self.maps[0].dim
 
 
-def advance(m, pts, tans=None, step=None):
-    """One step of the (N, d) batch ``pts`` through ``m``: (Jacobians, images, pushed).
+# ---------------------------------------------------------------------------
+# the evaluator: every map value, Jacobian and second derivative goes through it
 
-    Checks the region first, as ``jets.eval_map`` does, then calls the Jacobian
-    and the map once each on the whole batch; a non-finite image raises
-    ``HypothesisViolationError``.  ``pushed`` is J_k·tans[k], or None without ``tans``."""
-    pts = np.atleast_2d(pts)
+
+def _as_batch(m, pts, step):
+    """One (d,) point or an (N, d) batch as an (N, d) float batch, checked
+    for shape and then for the region."""
+    pts = np.asarray(pts, dtype=float)
+    batch = pts[None] if pts.ndim == 1 else pts
+    if batch.ndim != 2 or batch.shape[1] != m.dim:
+        raise DimensionMismatchError(f"points of shape {pts.shape} for a map on R^{m.dim}")
     if m.region is not None:
-        inside = m.region.contains(pts)
+        inside = m.region.contains(batch)
         if not inside.all():
-            raise OutOfRegionError(pts[~inside][0], step=step)
-    if m.jacobian_batch is not None:
-        jac = np.asarray(m.jacobian_batch(pts), dtype=float)
-    else:
-        jac = np.array([m.jacobian_at(x) for x in pts], dtype=float)
-    if m.func_batch is not None:
-        image = np.asarray(m.func_batch(pts), dtype=float)
-    else:
-        image = np.array([m.func(x) for x in pts], dtype=float)
-    if not np.all(np.isfinite(image)):
-        raise HypothesisViolationError("non-finite image point", step=step)
+            raise OutOfRegionError(batch[~inside][0], step=step)
+    return batch
+
+
+def _call(pts, batch, point, shape, what, step):
+    """One ``batch`` call, or a ``point`` loop over the rows without one;
+    then the output shape and finiteness checks."""
+    out = np.asarray(batch(pts) if batch is not None else [point(x) for x in pts], dtype=float)
+    expected = (len(pts), *shape)
+    if out.shape != expected:
+        raise DimensionMismatchError(f"{what} have shape {out.shape}, expected {expected}")
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out.reshape(len(pts), -1)).all(axis=1)
+        raise HypothesisViolationError(f"non-finite {what} at {pts[bad][0]}", step=step)
+    return out
+
+
+def _values(m, pts, step):
+    return _call(pts, m.func_batch, m.func, (m.dim,), "map values", step)
+
+
+def _jacobians(m, pts, step):
+    if m.jacobian is None:  # no Jacobian callback of either form
+        fd = lambda p: _fd_jacobians(m, p, step)  # noqa: E731
+        return _call(pts, fd, None, (m.dim, m.dim), "Jacobians", step)
+    return _call(pts, m.jacobian_batch, m.jacobian, (m.dim, m.dim), "Jacobians", step)
+
+
+def images(m, pts, step=None):
+    """f at one (d,) point or at each row of an (N, d) batch: (N, d) values.
+
+    Checks in order the input shape, the region (before any callback), one
+    ``func_batch`` call (or a ``func`` loop), the output shape and finiteness,
+    raising ``DimensionMismatchError``, ``OutOfRegionError(step)`` or
+    ``HypothesisViolationError(step)``."""
+    return _values(m, _as_batch(m, pts, step), step)
+
+
+def jacobians(m, pts, step=None):
+    """Df at one (d,) point or at each row of an (N, d) batch: (N, d, d)
+    matrices, with the checks of ``images``.  Without a Jacobian callback
+    they are central differences of ``images``, one-sided where a central
+    probe would leave the region."""
+    return _jacobians(m, _as_batch(m, pts, step), step)
+
+
+def second_derivatives(m, pts, u, v):
+    """D²_x f(u, v) at each row x of an (N, d) batch: the analytic ``second``
+    row by row, else differences along v of J·u, with J analytic (step
+    STEP1) or itself differenced along u (both steps STEP2)."""
+    pts = _as_batch(m, pts, None)
+    if m.second is not None:
+        return np.array([m.second(x, u, v) for x in pts], dtype=float)
+    if m.jacobian is not None:
+        return _differences(lambda p: jacobians(m, p) @ u, pts, v, _steps(pts, STEP1), m.region)
+    h = _steps(pts, STEP2)
+
+    def along_u(p):  # the probe blocks along v repeat the rows of pts, so np.resize repeats h
+        return _differences(lambda q: images(m, q), p, u, np.resize(h, len(p)), m.region)
+
+    return _differences(along_u, pts, v, h, m.region)
+
+
+def _row_norms(a):
+    """Euclidean norms of the rows of ``a``, bit for bit as np.linalg.norm of one row."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
+def _steps(pts, scale):
+    """Finite-difference steps scale·max(1, ‖x‖), one per row x of ``pts``."""
+    return scale * np.maximum(1.0, _row_norms(pts))
+
+
+def _differences(g, pts, dirs, h, region):
+    """Derivative of the batch function ``g`` at each row of ``pts`` along
+    ``dirs`` (a row per point, or one vector), from one call of ``g``: central
+    differences, or second-order one-sided ones where exactly one central
+    probe would leave ``region``."""
+    n = len(pts)
+    hd = h[:, None] * dirs
+    plus, minus = pts + hd, pts - hd
+    back = ahead = np.zeros(n, dtype=bool)
+    if region is not None:
+        out_plus, out_minus = ~region.contains(plus), ~region.contains(minus)
+        back, ahead = out_plus & ~out_minus, out_minus & ~out_plus
+    one_sided = (back | ahead)[:, None]
+    sign = np.where(back, -1.0, 1.0)[:, None]
+    near = np.where(back[:, None], minus, plus)
+    far = np.where(one_sided, pts + 2.0 * sign * hd, minus)
+    probes = [near, far, pts] if one_sided.any() else [near, far]
+    vals = np.asarray(g(np.concatenate(probes))).reshape(len(probes), n, -1)
+    central = (vals[0] - vals[1]) / (2.0 * h[:, None])
+    if len(probes) == 2:
+        return central
+    side = sign * (4.0 * vals[0] - vals[1] - 3.0 * vals[2]) / (2.0 * h[:, None])
+    return np.where(one_sided, side, central)
+
+
+def _fd_jacobians(m, pts, step):
+    """Finite-difference Jacobians: column i differences ``images`` along e_i."""
+    n, d = pts.shape
+    rows, axes, h = np.repeat(pts, d, axis=0), np.tile(np.eye(d), (n, 1)), _steps(pts, STEP1)
+    cols = _differences(lambda p: images(m, p, step), rows, axes, np.repeat(h, d), m.region)
+    return cols.reshape(n, d, d).transpose(0, 2, 1)
+
+
+def advance(m, pts, tans=None, step=None):
+    """One step of the (N, d) batch ``pts`` through ``m``: (Jacobians, images, pushed),
+    with the checks of ``jacobians`` and ``images`` (shape and region once).
+    ``pushed`` is J_k·tans[k], or None without ``tans``."""
+    pts = _as_batch(m, pts, step)
+    jac = _jacobians(m, pts, step)
+    image = _values(m, pts, step)
     pushed = None if tans is None else np.einsum("kab,kb->ka", jac, tans)
     return jac, image, pushed
 
 
 def apply_sequence(seq, x):
-    """Orbit [x, F_1(x), ..., F_n(x)] of the compositions F_i = f_i ∘ ... ∘ f_1."""
-    x = np.asarray(x, dtype=float)
-    orbit = [x]
-    for i, m in enumerate(seq):
-        try:
-            x = jets.eval_map(m, x)
-        except OutOfRegionError as exc:
-            raise OutOfRegionError(x, step=i + 1) from exc
-        orbit.append(x)
+    """Orbit [x, F_1(x), ..., F_n(x)] of the compositions F_i = f_i ∘ ... ∘ f_1
+    for one point x, or for each row of a point batch."""
+    orbit = [np.asarray(x, dtype=float)]
+    for i, m in enumerate(seq, start=1):
+        orbit.append(images(m, orbit[-1], step=i).reshape(orbit[0].shape))
     return orbit
 
 
@@ -200,14 +320,20 @@ def operator_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
+def _singular(jacs):
+    """(singular mask, operator norms) of an (N, d, d) Jacobian stack: J is
+    singular when |det J| < SINGULARITY_RTOL·max(1, ‖J‖)^d."""
+    norms = np.linalg.norm(jacs, 2, axis=(1, 2))
+    scale = np.maximum(1.0, norms) ** jacs.shape[1]
+    return np.abs(np.linalg.det(jacs)) < SINGULARITY_RTOL * scale, norms
+
+
 def inverse_jacobian_norm(m, x):
-    """‖(D_x f)⁻¹‖, raising if the Jacobian is singular at x."""
-    jac = np.atleast_2d(m.jacobian_at(x))
-    det = np.linalg.det(jac)
-    scale = max(1.0, operator_norm(jac)) ** jac.shape[0]
-    if abs(det) < SINGULARITY_RTOL * scale:
-        raise SingularJacobianError(f"Jacobian singular at {x} (det={det:.3e})")
-    return operator_norm(np.linalg.inv(jac))
+    """‖(D_x f)⁻¹‖ at one point x, raising if the Jacobian is singular there."""
+    jac = jacobians(m, x)
+    if _singular(jac)[0][0]:
+        raise SingularJacobianError(f"Jacobian singular at {x} (det={np.linalg.det(jac[0]):.3e})")
+    return operator_norm(np.linalg.inv(jac[0]))
 
 
 def _direction_pairs(dim, extra=32, seed=2024):
@@ -225,12 +351,13 @@ def _direction_pairs(dim, extra=32, seed=2024):
     return pairs
 
 
-def estimate_seminorms(m, region, resolution, epsilon=None, max_pairs=100_000):
+def estimate_seminorms(m, region, resolution, epsilon=None):
     """Grid estimate of the C¹, inverse-C¹, C² and optional Hölder seminorms.
 
     Returns the map's analytic annotations when it carries them; otherwise
     the sampled maxima, which are lower bounds of the suprema on ``region``.
-    A singular Jacobian anywhere on the grid makes ``c1_inv`` infinite.
+    A singular Jacobian anywhere on the grid makes ``c1_inv`` infinite.  The
+    Hölder quotient strides over at most HOLDER_PAIR_LIMIT grid-point pairs.
     """
     if m.seminorms is not None and m.seminorms.provenance == "analytic":
         est = m.seminorms
@@ -241,32 +368,25 @@ def estimate_seminorms(m, region, resolution, epsilon=None, max_pairs=100_000):
         return est
 
     pts = region.grid(resolution)
-    pairs = _direction_pairs(region.dim)
-    c1 = 0.0
-    c1_inv = 0.0
-    c2 = 0.0
-    jacs = np.empty((len(pts), m.dim, m.dim))
-    for k, x in enumerate(pts):
-        jac = m.jacobian_at(x)
-        jacs[k] = jac
-        c1 = max(c1, operator_norm(jac))
-        try:
-            c1_inv = max(c1_inv, inverse_jacobian_norm(m, x))
-        except SingularJacobianError:
-            c1_inv = np.inf
-        for u, v in pairs:
-            c2 = max(c2, float(np.linalg.norm(jets.push_jet2(m, x, u, v).second)))
+    jacs = jacobians(m, pts)
+    singular, norms = _singular(jacs)
+    c1 = float(norms.max())
+    if singular.any():
+        c1_inv = np.inf
+    else:
+        c1_inv = float(np.linalg.norm(np.linalg.inv(jacs), 2, axis=(1, 2)).max())
+    c2 = max(
+        float(_row_norms(second_derivatives(m, pts, u, v)).max())
+        for u, v in _direction_pairs(region.dim)
+    )
 
     holder = None
     if epsilon is not None:
         npairs = len(pts) * (len(pts) - 1) // 2
-        stride = max(1, npairs // max_pairs)
+        stride = max(1, npairs // HOLDER_PAIR_LIMIT)
         spacing = np.min((region.hi - region.lo) / (resolution - 1))
         best = 0.0
-        striding = itertools.islice(
-            itertools.combinations(range(len(pts)), 2), 0, None, stride
-        )
-        for i, j in striding:
+        for i, j in itertools.islice(itertools.combinations(range(len(pts)), 2), 0, None, stride):
             gap = np.linalg.norm(pts[i] - pts[j])
             if gap < spacing:
                 continue

@@ -69,17 +69,9 @@ def quadratic_1d(a=0.5, b=0.125, name="quadratic-1d"):
         provenance="analytic",
     )
 
-    def inverse(y):
-        if b == 0:
-            return np.array([y[0] / a])
-        return np.array([(-a + math.sqrt(a * a + 4 * b * y[0])) / (2 * b)])
-
     return SmoothMap(
         dim=1,
-        func=lambda x: np.array([a * x[0] + b * x[0] ** 2]),
-        jacobian=lambda x: np.array([[a + 2 * b * x[0]]]),
         second=lambda x, u, v: np.array([2 * b * u[0] * v[0]]),
-        inverse=inverse,
         region=region,
         name=name,
         seminorms=seminorms,
@@ -100,13 +92,9 @@ def _affine_map(mat, offset, name, region=None, seminorms=None):
     mat = np.asarray(mat, dtype=float)
     offset = np.asarray(offset, dtype=float)
     d = mat.shape[0]
-    inv = np.linalg.inv(mat)
     return SmoothMap(
         dim=d,
-        func=lambda x: mat @ x + offset,
-        jacobian=lambda x: mat,
         second=lambda x, u, v: np.zeros(d),
-        inverse=lambda y: inv @ (y - offset),
         region=region,
         name=name,
         seminorms=seminorms,
@@ -129,14 +117,6 @@ def quadratic_planar_map(mat, offset, hessians, region, name="quadratic-planar")
     hs = [0.5 * (np.asarray(h, dtype=float) + np.asarray(h, dtype=float).T) for h in hessians]
     d = mat.shape[0]
 
-    def func(x):
-        quad = np.array([x @ h @ x for h in hs])
-        return mat @ x + offset + quad
-
-    def jacobian(x):
-        rows = np.array([2.0 * (h @ x) for h in hs])
-        return mat + rows
-
     def second(x, u, v):
         return np.array([2.0 * (u @ h @ v) for h in hs])
 
@@ -150,8 +130,6 @@ def quadratic_planar_map(mat, offset, hessians, region, name="quadratic-planar")
 
     return SmoothMap(
         dim=d,
-        func=func,
-        jacobian=jacobian,
         second=second,
         region=region,
         name=name,
@@ -184,17 +162,8 @@ def quadratic_planar_constants(mat, hessians, region, epsilon=None):
 def fibonacci_trace_map(region=None):
     """The Fibonacci trace map (x, y, z) ↦ (2xy − z, x, y)."""
 
-    def func(x):
-        return np.array([2 * x[0] * x[1] - x[2], x[0], x[1]])
-
-    def jacobian(x):
-        return np.array([[2 * x[1], 2 * x[0], -1.0], [1, 0, 0], [0, 1, 0]])
-
     def second(x, u, v):
         return np.array([2.0 * (u[0] * v[1] + u[1] * v[0]), 0.0, 0.0])
-
-    def inverse(y):
-        return np.array([y[1], y[2], 2 * y[1] * y[2] - y[0]])
 
     def func_batch(X):
         return np.stack([2 * X[:, 0] * X[:, 1] - X[:, 2], X[:, 0], X[:, 1]], axis=1)
@@ -211,10 +180,7 @@ def fibonacci_trace_map(region=None):
 
     return SmoothMap(
         dim=3,
-        func=func,
-        jacobian=jacobian,
         second=second,
-        inverse=inverse,
         region=region,
         name="fibonacci-trace-map",
         func_batch=func_batch,

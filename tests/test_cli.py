@@ -222,3 +222,27 @@ def test_parse_config_rejects_conflicting_sources(tmp_path):
     )
     with pytest.raises(ConfigError):
         parse_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# subintervals are checked against the interval or natural curve domain
+
+BAD_SUBINTERVALS = {
+    "thm-2.2": "[scenario]\nfamily = 1d-quadratic-contraction\nn = 3\n"
+    "[subintervals]\nsub1 = 0 0.4\nsub2 = 0.4 1.7\n",
+    # the quarter circle has natural domain [0, pi/2]
+    "nbdp": "[scenario]\nfamily = planar-contraction-shear\nn = 3\n"
+    "[subintervals]\nsub1 = 0 0.7\nsub2 = 0.7 2.0\n",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(BAD_SUBINTERVALS))
+def test_subinterval_outside_the_domain_fails_check_and_run(tmp_path, engine):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"[experiment]\nengine = {engine}\nsamples = 20\nresolution = 16\n"
+        + BAD_SUBINTERVALS[engine]
+    )
+    assert run_cli("check", str(cfg)) == EXIT_CONFIG
+    assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "report.json").exists()

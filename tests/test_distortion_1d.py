@@ -165,3 +165,10 @@ def test_interval_ratio_halves_against_mpmath_orbit():
 def test_interval_ratio_rejects_degenerate_subinterval():
     with pytest.raises(ValueError):
         interval_ratio_1d(quad_seq(2), (0.0, 1.0), (0.2, 0.2), (0.5, 1.0), 50, QUAD_BUDGET)
+
+
+def test_interval_ratio_notes_a_sampled_constant_once():
+    # the ratio verdict of an unverified base run keeps the base run's notes
+    rep = interval_ratio_1d(quad_seq(5), (0.0, 1.0), (0.0, 0.4), (0.4, 1.0), 50, HypothesisBudget())
+    assert rep.verdict == UNVERIFIED
+    assert rep.trace.notes == ["sampled constants: verdict limited to hypothesis-unverified"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdp import FDConfig, fd_oracle, polynomial_map, push_jet1, push_jet2
+from bdp import fd_oracle, polynomial_map, push_jet1, push_jet2
 from bdp.errors import DimensionMismatchError, OutOfRegionError
 from bdp.maps import Box, SmoothMap
 
@@ -179,8 +179,3 @@ def test_out_of_region_is_explicit():
     m = SmoothMap(dim=1, func=lambda x: x.copy(), region=Box([0.0], [1.0]))
     with pytest.raises(OutOfRegionError):
         push_jet1(m, np.array([2.0]), np.ones(1))
-
-
-def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FDConfig(step_scale=-1.0)

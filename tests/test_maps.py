@@ -193,10 +193,3 @@ def test_map_sequence_validation():
     two_d = SmoothMap(dim=2, func=lambda x: x)
     with pytest.raises(Exception):
         MapSequence((one_d, two_d))
-
-
-def test_inverse_consistency_of_builtins():
-    m = quadratic_1d(0.5, 0.125)
-    for x in np.linspace(0.0, 1.0, 7):
-        y = m.func(np.array([x]))
-        assert m.inverse(y)[0] == pytest.approx(x, abs=1e-9)

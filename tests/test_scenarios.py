@@ -14,7 +14,6 @@ from bdp.scenarios import (
     SturmianParams,
     build_sequence,
     fibonacci_trace_map,
-    quadratic_1d,
     quadratic_1d_ratio_constants,
     sturmian_word,
     trace_map_invariant,
@@ -131,14 +130,6 @@ def test_analytic_annotations_dominate_sampled_estimates():
         assert est.c1_inv <= ann.c1_inv + 1e-10
 
 
-def test_quadratic_1d_inverse_roundtrip():
-    m = quadratic_1d(0.5, 0.125)
-    for x in np.linspace(0.0, 1.0, 11):
-        y = m.func(np.array([x]))
-        back = m.inverse(y)
-        assert back[0] == pytest.approx(x, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # trace map
 
@@ -158,12 +149,6 @@ def test_trace_map_jacobian_determinant():
     for _ in range(20):
         p = rng.uniform(-1.5, 1.5, size=3)
         assert np.linalg.det(m.jacobian(p)) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_trace_map_inverse():
-    m = fibonacci_trace_map()
-    p = np.array([0.4, -0.3, 0.9])
-    assert np.allclose(m.inverse(m.func(p)), p, atol=1e-12)
 
 
 def test_trace_scenario_runs_and_stays_unverified():

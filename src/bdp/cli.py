@@ -13,6 +13,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +22,20 @@ from .distortion import BOUND_HOLDS, BOUND_VIOLATED, UNVERIFIED, HypothesisBudge
 from .errors import BdpError, ConfigError
 from .maps import MapSequence, polynomial_map
 
-ENGINES = ("thm-2.1", "thm-2.2", "main-thm", "nbdp", "holder")
-ONE_D_ENGINES = {"thm-2.1", "thm-2.2"}
-RATIO_ENGINES = {"thm-2.2", "nbdp"}
+
+class Engine(NamedTuple):
+    function: str  # the engine's name in ``distortion``
+    kind: str  # the scenario kind it runs on: "1d" or "curve"
+    subintervals: bool  # takes a [subintervals] section
+
+
+ENGINES = {
+    "thm-2.1": Engine("run_1d", "1d", False),
+    "thm-2.2": Engine("interval_ratio_1d", "1d", True),
+    "main-thm": Engine("run_curve", "curve", False),
+    "nbdp": Engine("arc_ratio_curve", "curve", True),
+    "holder": Engine("run_curve_holder", "curve", False),
+}
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -33,7 +45,7 @@ EXIT_ERROR = 4
 
 
 def _fmt(x):
-    return format(float(x), ".17g")
+    return None if x is None else format(float(x), ".17g")
 
 
 @dataclass
@@ -44,8 +56,8 @@ class ExperimentConfig:
     seed: int = 0
     scenario: scenarios.ScenarioSpec = None
     inline: dict = field(default_factory=dict)
-    subintervals: tuple = None
-    budget_override: dict = field(default_factory=dict)
+    subintervals: tuple = ()
+    budget: dict = field(default_factory=dict)  # HypothesisBudget fields from [budget]
     outputs: dict = field(default_factory=dict)
     echo: dict = field(default_factory=dict)
 
@@ -72,17 +84,13 @@ def parse_config(path):
     exp = parser["experiment"]
     engine = exp.get("engine")
     if engine not in ENGINES:
-        raise ConfigError(f"[experiment] engine must be one of {ENGINES}, got {engine!r}")
+        raise ConfigError(f"[experiment] engine must be one of {tuple(ENGINES)}, got {engine!r}")
     cfg = ExperimentConfig(
         engine=engine,
         samples=exp.getint("samples", fallback=200),
         resolution=exp.getint("resolution", fallback=256),
         seed=exp.getint("seed", fallback=0),
     )
-    if cfg.samples < 2:
-        raise ConfigError("[experiment] samples must be >= 2")
-    if cfg.resolution < 2:
-        raise ConfigError("[experiment] resolution must be >= 2")
 
     if "scenario" in parser:
         if any(s.startswith("map.") for s in parser.sections()):
@@ -112,7 +120,7 @@ def parse_config(path):
         if not cfg.inline:
             raise ConfigError("config needs a [scenario] section or inline [map.*] sections")
 
-    if engine in RATIO_ENGINES:
+    if ENGINES[engine].subintervals:
         if "subintervals" not in parser:
             raise ConfigError(f"engine {engine} requires a [subintervals] section")
         subs = parser["subintervals"]
@@ -126,14 +134,15 @@ def parse_config(path):
 
     if "budget" in parser:
         bud = parser["budget"]
-        override = {}
-        for key in ("c", "l", "alpha", "epsilon"):
+        prov = bud.get("provenance", "analytic")
+        fields = (("c", "C", "c_prov"), ("l", "L", "l_prov"), ("alpha", "alpha", "a_prov"))
+        for key, name, prov_name in fields:
             if key in bud:
-                override[key.upper() if key in ("c", "l") else key] = bud.getfloat(key)
-        override["provenance"] = bud.get("provenance", "analytic")
-        if override["provenance"] not in ("analytic", "sampled"):
+                cfg.budget.update({name: bud.getfloat(key), prov_name: prov})
+        if "epsilon" in bud:
+            cfg.budget["epsilon"] = bud.getfloat("epsilon")
+        if prov not in ("analytic", "sampled"):
             raise ConfigError("[budget] provenance must be analytic or sampled")
-        cfg.budget_override = override
 
     if "output" in parser:
         cfg.outputs = dict(parser["output"])
@@ -176,6 +185,9 @@ def _parse_inline(parser):
     inline = {"maps": maps}
     if "interval" in parser:
         iv = parser["interval"]
+        for key in ("lo", "hi"):
+            if key not in iv:
+                raise ConfigError(f"[interval] missing field {key!r}")
         inline["interval"] = (iv.getfloat("lo"), iv.getfloat("hi"))
     elif "curve" in parser:
         cv = parser["curve"]
@@ -198,59 +210,41 @@ def _parse_inline(parser):
 
 
 def _materialize(cfg):
+    """The engine's inputs (seq, domain, budget), checked by the engine's own
+    rules, so that ``bdp check`` accepts exactly what ``bdp run`` runs."""
+    for key in ("samples", "resolution"):
+        if getattr(cfg, key) < 2:
+            raise ConfigError(f"[experiment] {key} must be >= 2")
     if cfg.scenario is not None:
         seq, domain, budget = scenarios.build_sequence(cfg.scenario)
         kind = scenarios.SCENARIOS[cfg.scenario.family]["kind"]
     else:
         seq = MapSequence(tuple(cfg.inline["maps"]))
-        if "interval" in cfg.inline:
-            domain, kind = cfg.inline["interval"], "1d"
-        else:
-            domain, kind = cfg.inline["curve"], "curve"
+        kind = "1d" if "interval" in cfg.inline else "curve"
+        domain = cfg.inline["interval" if kind == "1d" else "curve"]
         budget = HypothesisBudget()
-    if cfg.engine in ONE_D_ENGINES and kind != "1d":
-        raise ConfigError(f"engine {cfg.engine} needs a 1D scenario, got a curve scenario")
-    if cfg.engine not in ONE_D_ENGINES and kind != "curve":
-        raise ConfigError(f"engine {cfg.engine} needs a curve scenario, got a 1D scenario")
-
-    if cfg.budget_override:
-        prov = cfg.budget_override["provenance"]
-        fields = {}
-        for key, prov_key in (("C", "c_prov"), ("L", "l_prov"), ("alpha", "a_prov")):
-            if key in cfg.budget_override:
-                fields[key] = cfg.budget_override[key]
-                fields[prov_key] = prov
-        if "epsilon" in cfg.budget_override:
-            fields["epsilon"] = cfg.budget_override["epsilon"]
-        budget = replace(budget, **fields)
-    if cfg.engine not in ONE_D_ENGINES and budget.C is None:
-        raise ConfigError(f"engine {cfg.engine} needs a budget C: add [budget] c = ...")
-    if cfg.engine == "holder" and budget.epsilon is None:
-        raise ConfigError("engine holder requires an epsilon (scenario param or [budget])")
-    if cfg.engine in RATIO_ENGINES:  # nbdp subintervals live on the natural (arc-length) domain
-        if kind == "curve" and not isinstance(domain, curves.NaturalCurve):
-            domain = curves.reparameterize_natural(domain, cfg.resolution)
-        distortion.check_subintervals(domain if kind == "1d" else domain.domain, *cfg.subintervals)
+    engine = ENGINES[cfg.engine]
+    if kind != engine.kind:
+        raise ConfigError(
+            f"engine {cfg.engine} needs a {engine.kind} scenario, got a {kind} scenario"
+        )
+    budget = replace(budget, **cfg.budget)
+    if kind == "1d":
+        distortion.check_1d(seq, domain, cfg.samples, cfg.subintervals)
+    else:
+        domain = distortion.check_curve(
+            seq, domain, cfg.resolution, budget, cfg.subintervals, holder=cfg.engine == "holder"
+        )
     return seq, domain, budget
 
 
 def run_experiment(cfg):
     """Execute the configured engine; returns (report dict, step rows, exit code)."""
     seq, domain, budget = _materialize(cfg)
-    if cfg.engine == "thm-2.1":
-        report = distortion.run_1d(seq, domain, cfg.samples, budget)
-    elif cfg.engine == "thm-2.2":
-        report = distortion.interval_ratio_1d(
-            seq, domain, cfg.subintervals[0], cfg.subintervals[1], cfg.samples, budget
-        )
-    elif cfg.engine == "main-thm":
-        report = distortion.run_curve(seq, domain, cfg.samples, cfg.resolution, budget)
-    elif cfg.engine == "holder":
-        report = distortion.run_curve_holder(seq, domain, cfg.samples, cfg.resolution, budget)
-    else:  # nbdp
-        report = distortion.arc_ratio_curve(
-            seq, domain, cfg.subintervals[0], cfg.subintervals[1], cfg.samples, cfg.resolution, budget
-        )
+    engine = ENGINES[cfg.engine]
+    sizes = (cfg.samples,) if engine.kind == "1d" else (cfg.samples, cfg.resolution)
+    # looked up at run time, so a patched engine is the one that runs
+    report = getattr(distortion, engine.function)(seq, domain, *cfg.subintervals, *sizes, budget)
 
     code = {BOUND_HOLDS: EXIT_HOLDS, BOUND_VIOLATED: EXIT_VIOLATED, UNVERIFIED: EXIT_UNVERIFIED}[
         report.verdict
@@ -276,10 +270,10 @@ def _report_dict(cfg, report):
         "theoretical_log_K": _fmt(report.theoretical_log_K),
         "slack": _fmt(report.slack),
         "budget": {
-            "C": None if budget.C is None else _fmt(budget.C),
-            "L": None if budget.L is None else _fmt(budget.L),
-            "alpha": None if budget.alpha is None else _fmt(budget.alpha),
-            "epsilon": None if budget.epsilon is None else _fmt(budget.epsilon),
+            "C": _fmt(budget.C),
+            "L": _fmt(budget.L),
+            "alpha": _fmt(budget.alpha),
+            "epsilon": _fmt(budget.epsilon),
             "provenance": {"C": budget.c_prov, "L": budget.l_prov, "alpha": budget.a_prov},
         },
         "measured": {
@@ -299,7 +293,7 @@ def _step_rows(cfg, report):
     rows = []
     cumulative = 0.0
     for rec in report.trace.per_step:
-        if cfg.engine in ONE_D_ENGINES:
+        if ENGINES[cfg.engine].kind == "1d":
             cumulative += budget_c * rec.length
         else:
             cumulative += budget_c * budget_c * (rec.alpha + rec.length)

@@ -10,6 +10,8 @@ from .errors import RegularityError
 from .maps import images, jacobians
 
 _EPS = np.finfo(float).eps
+#: the default grid size of ``length``, ``max_angle`` and ``reparameterize_natural``
+SAMPLE_RESOLUTION = 512
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,6 @@ class ParamCurve:
     position: Callable
     tangent: Optional[Callable] = None
     dim: int = 2
-    sample_resolution: int = 512
 
     def __post_init__(self):
         a, b = self.domain
@@ -79,7 +80,7 @@ def simpson_richardson(values, h):
 
 def length(curve, resolution=None):
     """Arc length ∫‖γ'‖ dt by composite Simpson with one Richardson refinement."""
-    ts, h = _simpson_nodes(*curve.domain, resolution or curve.sample_resolution)
+    ts, h = _simpson_nodes(*curve.domain, resolution or SAMPLE_RESOLUTION)
     _, sp = _speeds(curve, ts)
     return simpson_richardson(sp, h)[0]
 
@@ -99,7 +100,7 @@ def max_angle_of_tangents(tans):
 
 def max_angle(curve, resolution=None):
     """Maximal angle between tangents over a sample grid (lower bound of the sup)."""
-    n = resolution or curve.sample_resolution
+    n = resolution or SAMPLE_RESOLUTION
     tans, _ = _speeds(curve, curve.params(n))
     return max_angle_of_tangents(tans)
 
@@ -130,10 +131,6 @@ class NaturalCurve:
     def total_length(self):
         return float(self.s_table[-1])
 
-    @property
-    def sample_resolution(self):
-        return self.original.sample_resolution
-
     def _t_of(self, s):
         return float(np.interp(s, self.s_table, self.t_table))
 
@@ -157,7 +154,7 @@ class NaturalCurve:
 
 def reparameterize_natural(curve, resolution=None):
     """Unit-speed reparameterization via a cumulative arc-length table."""
-    n = resolution or curve.sample_resolution
+    n = resolution or SAMPLE_RESOLUTION
     a, b = curve.domain
     ts = np.linspace(a, b, 2 * n + 1)
     _, sp = _speeds(curve, ts)
@@ -179,45 +176,30 @@ def pushforward(curve, m):
     def tangent(t):
         return jacobians(m, curve.pos(t))[0] @ curve.tan(t)
 
-    return ParamCurve(
-        domain=curve.domain,
-        position=position,
-        tangent=tangent,
-        dim=m.dim,
-        sample_resolution=getattr(curve, "sample_resolution", 512),
-    )
+    return ParamCurve(domain=curve.domain, position=position, tangent=tangent, dim=m.dim)
 
 
-def segment(p0, p1, unit_speed=True):
-    """Straight segment from p0 to p1; unit-speed parameterization by default."""
+def segment(p0, p1):
+    """Straight segment from p0 to p1, parameterized by arc length."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     gap = np.linalg.norm(p1 - p0)
     if gap == 0:
         raise ValueError("degenerate segment")
-    if unit_speed:
-        direction = (p1 - p0) / gap
-        return ParamCurve(
-            domain=(0.0, gap),
-            position=lambda t: p0 + t * direction,
-            tangent=lambda t: direction,
-            dim=p0.size,
-        )
+    direction = (p1 - p0) / gap
     return ParamCurve(
-        domain=(0.0, 1.0),
-        position=lambda t: p0 + t * (p1 - p0),
-        tangent=lambda t: p1 - p0,
+        domain=(0.0, gap),
+        position=lambda t: p0 + t * direction,
+        tangent=lambda t: direction,
         dim=p0.size,
     )
 
 
-def circle_arc(radius=1.0, t0=0.0, t1=np.pi / 2, center=(0.0, 0.0)):
-    """Planar circular arc (r cos t, r sin t) + center for t in [t0, t1]."""
-    cx, cy = center
-
+def circle_arc(radius=1.0, t0=0.0, t1=np.pi / 2):
+    """Planar circular arc (r cos t, r sin t) for t in [t0, t1]."""
     return ParamCurve(
         domain=(t0, t1),
-        position=lambda t: np.array([cx + radius * np.cos(t), cy + radius * np.sin(t)]),
+        position=lambda t: np.array([radius * np.cos(t), radius * np.sin(t)]),
         tangent=lambda t: np.array([-radius * np.sin(t), radius * np.cos(t)]),
         dim=2,
     )

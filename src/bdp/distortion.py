@@ -122,7 +122,7 @@ def bound_curve(C, L, alpha):
 # 1D engines
 
 
-def check_subintervals(domain, *subs):
+def _check_subintervals(domain, subs):
     """Raise ``ValueError`` unless every (lo, hi) in ``subs`` is nondegenerate
     and lies in ``domain`` = (a, b), up to SUBINTERVAL_TOL."""
     a, b = float(domain[0]), float(domain[1])
@@ -133,13 +133,10 @@ def check_subintervals(domain, *subs):
             raise ValueError(f"subinterval {sub} not inside ({a}, {b})")
 
 
-def run_1d(seq, interval, samples, budget):
-    """Theorem engine for 1D compositions: sup |log(F_n'(x)/F_n'(y))| vs C·L.
-
-    ``interval`` is (lo, hi); points are a deterministic grid of ``samples``
-    points including both endpoints.  Derivative sign changes on the grid are
-    hypothesis violations (f' must not vanish).
-    """
+def check_1d(seq, interval, samples, subs=()):
+    """The 1D engines' input rules: 1D maps, lo < hi, at least 2 samples and
+    every subinterval inside the interval.  Raises ``ValueError``; returns
+    (lo, hi) as floats."""
     if seq.dim != 1:
         raise ValueError("run_1d requires 1D maps")
     lo, hi = float(interval[0]), float(interval[1])
@@ -147,6 +144,18 @@ def run_1d(seq, interval, samples, budget):
         raise ValueError("degenerate initial interval")
     if int(samples) < 2:
         raise ValueError("run_1d needs at least 2 samples (both endpoints)")
+    _check_subintervals((lo, hi), subs)
+    return lo, hi
+
+
+def run_1d(seq, interval, samples, budget):
+    """Theorem engine for 1D compositions: sup |log(F_n'(x)/F_n'(y))| vs C·L.
+
+    ``interval`` is (lo, hi); points are a deterministic grid of ``samples``
+    points including both endpoints.  Derivative sign changes on the grid are
+    hypothesis violations (f' must not vanish).
+    """
+    lo, hi = check_1d(seq, interval, samples)
     grid = np.linspace(lo, hi, int(samples))
     pts = grid[:, None]
 
@@ -213,7 +222,7 @@ def run_1d(seq, interval, samples, budget):
 def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
     """Interval-image ratio form: |F_n(b1)−F_n(a1)| / |F_n(b2)−F_n(a2)| against
     the sandwich r·K^{∓1} with K = (e^{CL})²."""
-    check_subintervals(interval, sub1, sub2)
+    check_1d(seq, interval, samples, (sub1, sub2))
     base = run_1d(seq, interval, samples, budget)
 
     ends = np.array([[sub1[0]], [sub1[1]], [sub2[0]], [sub2[1]]])
@@ -228,9 +237,20 @@ def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
 # curve engines
 
 
-def _prepare_curve(gamma0, resolution):
+def check_curve(seq, gamma0, resolution, budget, subs=(), holder=False):
+    """The curve engines' input rules: a budget C (and ε for the Hölder run),
+    maps of the curve's dimension and every subinterval inside the natural
+    domain.  Raises ``ValueError``; returns ``gamma0`` reparameterized by arc
+    length (unchanged if it already is)."""
+    if budget.C is None:
+        raise ValueError("curve engines need a budget C (analytic or sampled)")
+    if holder and budget.epsilon is None:
+        raise ValueError("holder run requires budget epsilon")
+    if seq.dim != gamma0.dim:
+        raise ValueError("curve and maps have different dimensions")
     if not isinstance(gamma0, NaturalCurve):
         gamma0 = reparameterize_natural(gamma0, resolution)
+    _check_subintervals(gamma0.domain, subs)
     return gamma0
 
 
@@ -245,14 +265,8 @@ def _argmax_pair(a):
 
 
 def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
-    if budget.C is None:
-        raise ValueError("curve engines need a budget C (analytic or sampled)")
+    gamma0 = check_curve(seq, gamma0, resolution, budget, holder=holder)
     eps = budget.epsilon
-    if holder and eps is None:
-        raise ValueError("holder run requires budget epsilon")
-    gamma0 = _prepare_curve(gamma0, resolution)
-    if seq.dim != gamma0.dim:
-        raise ValueError("curve and maps have different dimensions")
     a, b = gamma0.domain
     t_quad, h = _simpson_nodes(a, b, resolution)
     t_s = np.linspace(a, b, int(samples))
@@ -391,8 +405,7 @@ def run_curve_holder(seq, gamma0, samples, resolution, budget):
 def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
     """Arc-length ratio form: L(F_n∘γ0 over sub1) / L(... over sub2) inside the
     sandwich r·K^{∓1} with K = (e^{C²(α+L)})²."""
-    gamma0 = _prepare_curve(gamma0, resolution)
-    check_subintervals(gamma0.domain, sub1, sub2)
+    gamma0 = check_curve(seq, gamma0, resolution, budget, (sub1, sub2))
     base = run_curve(seq, gamma0, samples, resolution, budget)
 
     # both subcurves' nodes in one batch; plain Simpson on each half

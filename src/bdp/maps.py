@@ -434,28 +434,28 @@ def polynomial_map(components, region=None, name="polynomial"):
         new[i] -= 1
         return coef * expo[i], tuple(new)
 
+    # the nonzero first partials (r, i, coef, expo) and second partials
+    # (r, i, j, coef, expo), differentiated once, in the order they are summed
+    d1 = [
+        (r, i, *_d_mono(coef, expo, i))
+        for r, terms in enumerate(comps)
+        for coef, expo in terms
+        for i in range(dim)
+    ]
+    d1 = [t for t in d1 if t[2]]
+    d2 = [(r, i, j, *_d_mono(dc, de, j)) for r, i, dc, de in d1 for j in range(dim)]
+    d2 = [t for t in d2 if t[3]]
+
     def jacobian(x):
         jac = np.zeros((dim, dim))
-        for r, terms in enumerate(comps):
-            for coef, expo in terms:
-                for i in range(dim):
-                    dc, de = _d_mono(coef, expo, i)
-                    if dc:
-                        jac[r, i] += _mono(x, dc, de)
+        for r, i, coef, expo in d1:
+            jac[r, i] += _mono(x, coef, expo)
         return jac
 
     def second(x, u, v):
         out = np.zeros(dim)
-        for r, terms in enumerate(comps):
-            for coef, expo in terms:
-                for i in range(dim):
-                    dc, de = _d_mono(coef, expo, i)
-                    if not dc:
-                        continue
-                    for j in range(dim):
-                        dc2, de2 = _d_mono(dc, de, j)
-                        if dc2:
-                            out[r] += _mono(x, dc2, de2) * u[i] * v[j]
+        for r, i, j, coef, expo in d2:
+            out[r] += _mono(x, coef, expo) * u[i] * v[j]
         return out
 
     return SmoothMap(

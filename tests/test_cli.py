@@ -246,3 +246,80 @@ def test_subinterval_outside_the_domain_fails_check_and_run(tmp_path, engine):
     assert run_cli("check", str(cfg)) == EXIT_CONFIG
     assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
     assert not (tmp_path / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# `bdp check` runs the engines' own input checks, after the flags are applied
+
+ONE_D_MAP = "[map.0]\ncomp0 = 0.5 1\n"
+ONE_D_HEAD = "[experiment]\nengine = thm-2.1\nsamples = 20\n" + ONE_D_MAP
+BAD_INPUTS = {
+    "reversed-interval": (ONE_D_HEAD + "[interval]\nlo = 1\nhi = 0\n", ()),
+    "3d-segment-2d-maps": (
+        "[experiment]\nengine = main-thm\nsamples = 20\nresolution = 16\n"
+        "[map.0]\ncomp0 = 0.5 1 0\ncomp1 = 0.5 0 1\n"
+        "[curve]\ntype = segment\np0 = 0 0 0\np1 = 1 0 0\n[budget]\nc = 1\n",
+        (),
+    ),
+    "interval-without-lo": (ONE_D_HEAD + "[interval]\nhi = 1\n", ()),
+    "resolution-0": ((CONFIGS / "rotations_main.cfg").read_text(), ("--resolution", "0")),
+    "samples-0": ((CONFIGS / "rotations_main.cfg").read_text(), ("--samples", "0")),
+    "samples-1": ((CONFIGS / "rotations_main.cfg").read_text(), ("--samples", "1")),
+    "samples-1-1d": ((CONFIGS / "quadratic_thm21.cfg").read_text(), ("--samples", "1")),
+}
+DISTORTION_ENGINES = (
+    "run_1d", "interval_ratio_1d", "run_curve", "run_curve_holder", "arc_ratio_curve"
+)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_engine_inputs_fail_check_and_run_before_the_engine(tmp_path, monkeypatch, case):
+    text, flags = BAD_INPUTS[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran on inputs that check should reject")
+
+    for name in DISTORTION_ENGINES:
+        monkeypatch.setattr(distortion, name, must_not_run)
+    assert run_cli("check", str(cfg), *flags) == EXIT_CONFIG
+    assert run_cli("run", str(cfg), "--output-dir", str(tmp_path), *flags) == EXIT_CONFIG
+    assert not any(tmp_path.glob("*report.json"))
+
+
+def test_interval_without_hi_names_the_field(tmp_path, capsys):
+    cfg = tmp_path / "nohi.cfg"
+    cfg.write_text(ONE_D_HEAD + "[interval]\nlo = 0\n")
+    assert run_cli("check", str(cfg)) == EXIT_CONFIG
+    assert "[interval] missing field 'hi'" in capsys.readouterr().err
+
+
+SUBS = "[subintervals]\nsub1 = 0 0.5\nsub2 = 0.5 1\n"
+ONE_D_BODY = ONE_D_MAP + "[interval]\nlo = 0\nhi = 1\n"
+ROTATIONS = "[scenario]\nfamily = planar-rotations\nn = 2\n"
+ENGINE_CALLS = {  # config engine: (distortion function, body, arguments after seq and domain)
+    "thm-2.1": ("run_1d", ONE_D_BODY, (20,)),
+    "thm-2.2": ("interval_ratio_1d", ONE_D_BODY + SUBS, ((0.0, 0.5), (0.5, 1.0), 20)),
+    "main-thm": ("run_curve", ROTATIONS, (20, 16)),
+    "holder": ("run_curve_holder", ROTATIONS + "[budget]\nepsilon = 0.5\n", (20, 16)),
+    "nbdp": ("arc_ratio_curve", ROTATIONS + SUBS, ((0.0, 0.5), (0.5, 1.0), 20, 16)),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CALLS))
+def test_run_calls_the_engine_looked_up_at_run_time(tmp_path, monkeypatch, engine):
+    function, body, args = ENGINE_CALLS[engine]
+    real = getattr(distortion, function)
+    calls = []
+
+    def spy(seq, domain, *rest):
+        calls.append(rest[:-1])
+        return real(seq, domain, *rest)
+
+    monkeypatch.setattr(distortion, function, spy)
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(f"[experiment]\nengine = {engine}\nsamples = 20\nresolution = 16\n" + body)
+    code = run_cli("run", str(cfg), "--output-dir", str(tmp_path))
+    assert code in (EXIT_HOLDS, EXIT_UNVERIFIED)
+    assert calls == [args]

@@ -192,3 +192,15 @@ def test_vanishing_tangent_rejected():
 def test_degenerate_domain_rejected():
     with pytest.raises(ValueError):
         ParamCurve(domain=(1.0, 1.0), position=lambda t: np.array([t]))
+
+
+def test_finite_difference_tangent_of_the_parabola():
+    # built without ``tangent``: central differences inside, one-sided at the ends
+    c = ParamCurve(domain=(0.0, 1.0), position=lambda t: np.array([t, t * t]))
+    exact = parabola().tangent
+    interior = max(np.max(np.abs(c.tan(t) - exact(t))) for t in np.linspace(0.01, 0.99, 99))
+    assert interior <= 1e-10
+    for t in (0.0, 1.0):
+        assert np.max(np.abs(c.tan(t) - exact(t))) <= 1e-5
+    oracle, _ = quad(lambda t: np.sqrt(1.0 + 4.0 * t * t), 0.0, 1.0)
+    assert length(c, 256) == pytest.approx(oracle, abs=1e-8)

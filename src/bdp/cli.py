@@ -37,6 +37,8 @@ ENGINES = {
     "holder": Engine("run_curve_holder", "curve", False),
 }
 
+BUDGET_KEYS = ("c", "l", "alpha", "epsilon", "provenance")
+
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_UNVERIFIED = 2
@@ -134,6 +136,9 @@ def parse_config(path):
 
     if "budget" in parser:
         bud = parser["budget"]
+        for key in bud:
+            if key not in BUDGET_KEYS:
+                raise ConfigError(f"[budget] unknown key {key!r}; expected one of {BUDGET_KEYS}")
         prov = bud.get("provenance", "analytic")
         fields = (("c", "C", "c_prov"), ("l", "L", "l_prov"), ("alpha", "alpha", "a_prov"))
         for key, name, prov_name in fields:
@@ -212,9 +217,9 @@ def _parse_inline(parser):
 def _materialize(cfg):
     """The engine's inputs (seq, domain, budget), checked by the engine's own
     rules, so that ``bdp check`` accepts exactly what ``bdp run`` runs."""
-    for key in ("samples", "resolution"):
-        if getattr(cfg, key) < 2:
-            raise ConfigError(f"[experiment] {key} must be >= 2")
+    engine = ENGINES[cfg.engine]
+    if engine.kind == "1d" and cfg.resolution < 2:  # read by no 1D engine
+        raise ConfigError("[experiment] resolution must be >= 2")
     if cfg.scenario is not None:
         seq, domain, budget = scenarios.build_sequence(cfg.scenario)
         kind = scenarios.SCENARIOS[cfg.scenario.family]["kind"]
@@ -223,7 +228,6 @@ def _materialize(cfg):
         kind = "1d" if "interval" in cfg.inline else "curve"
         domain = cfg.inline["interval" if kind == "1d" else "curve"]
         budget = HypothesisBudget()
-    engine = ENGINES[cfg.engine]
     if kind != engine.kind:
         raise ConfigError(
             f"engine {cfg.engine} needs a {engine.kind} scenario, got a {kind} scenario"
@@ -232,9 +236,9 @@ def _materialize(cfg):
     if kind == "1d":
         distortion.check_1d(seq, domain, cfg.samples, cfg.subintervals)
     else:
-        domain = distortion.check_curve(
-            seq, domain, cfg.resolution, budget, cfg.subintervals, holder=cfg.engine == "holder"
-        )
+        holder = cfg.engine == "holder"
+        sizes = (cfg.samples, cfg.resolution)
+        domain = distortion.check_curve(seq, domain, *sizes, budget, cfg.subintervals, holder)
     return seq, domain, budget
 
 
@@ -249,7 +253,7 @@ def run_experiment(cfg):
     code = {BOUND_HOLDS: EXIT_HOLDS, BOUND_VIOLATED: EXIT_VIOLATED, UNVERIFIED: EXIT_UNVERIFIED}[
         report.verdict
     ]
-    return _report_dict(cfg, report), _step_rows(cfg, report), code, report
+    return _report_dict(cfg, report), _step_rows(report), code, report
 
 
 def _report_dict(cfg, report):
@@ -288,26 +292,18 @@ def _report_dict(cfg, report):
     }
 
 
-def _step_rows(cfg, report):
-    budget_c = report.budget.C or 0.0
-    rows = []
-    cumulative = 0.0
-    for rec in report.trace.per_step:
-        if ENGINES[cfg.engine].kind == "1d":
-            cumulative += budget_c * rec.length
-        else:
-            cumulative += budget_c * budget_c * (rec.alpha + rec.length)
-        rows.append(
-            [
-                rec.index,
-                _fmt(rec.length),
-                _fmt(rec.alpha),
-                _fmt(rec.lemma1_increment),
-                _fmt(rec.lemma2_increment),
-                _fmt(cumulative),
-            ]
-        )
-    return rows
+def _step_rows(report):
+    return [
+        [
+            rec.index,
+            _fmt(rec.length),
+            _fmt(rec.alpha),
+            _fmt(rec.lemma1_increment),
+            _fmt(rec.lemma2_increment),
+            _fmt(rec.log_bound),
+        ]
+        for rec in report.trace.per_step
+    ]
 
 
 def _write_outputs(cfg, report_dict, rows, out_dir, json_only, trace):
@@ -355,7 +351,7 @@ def main(argv=None):
     if args.command == "list-scenarios":
         for name in sorted(scenarios.SCENARIOS):
             info = scenarios.SCENARIOS[name]
-            print(f"{name} [{info['kind']}] params={info['params']}")
+            print(f"{name} [{info['kind']}] params={scenarios.PARAMS[name]}")
             print(f"    {info['description']}")
         return EXIT_HOLDS
 

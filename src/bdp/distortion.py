@@ -62,6 +62,8 @@ class StepRecord:
     the max of |log(‖J(x_k)u_l‖/‖J(x_l)u_l‖)|, and ``lemma1_pair`` and
     ``lemma2_pair`` their argmax pairs (k, l).  1D runs: ``lemma2_increment``
     is the spread of log |f_i'| on the grid and both pairs are None.
+    ``log_bound`` is the run's budget summed over steps 1..i, with the C and
+    the length terms of ``theoretical_log_K``.
     """
 
     index: int
@@ -72,6 +74,7 @@ class StepRecord:
     length_err: float = 0.0
     lemma1_pair: Optional[tuple] = None
     lemma2_pair: Optional[tuple] = None
+    log_bound: float = 0.0
 
 
 @dataclass
@@ -120,6 +123,15 @@ def bound_curve(C, L, alpha):
 
 # ---------------------------------------------------------------------------
 # 1D engines
+
+
+def _record_log_bounds(per_step, coef, eps=1.0):
+    """Set each step's ``log_bound`` to Σ_{j≤i} coef·(α_j + L_j^ε), coef being
+    C (1D, α_j = 0) or C² (curves), summed in step order."""
+    cumulative = 0.0
+    for rec in per_step:
+        cumulative += coef * (rec.alpha + rec.length**eps)
+        rec.log_bound = cumulative
 
 
 def _check_subintervals(domain, subs):
@@ -205,6 +217,7 @@ def run_1d(seq, interval, samples, budget):
     l_used = budget.L if budget.L is not None else sum_L
     l_prov = budget.l_prov if budget.L is not None else "sampled"
     theo = c_used * l_used
+    _record_log_bounds(per_step, c_used)
     verdict, notes = _resolve_verdict(
         empirical, theo, [c_prov, l_prov], budget_ok=(budget.L is None or sum_L <= budget.L + REPORT_TOL)
     )
@@ -237,11 +250,16 @@ def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
 # curve engines
 
 
-def check_curve(seq, gamma0, resolution, budget, subs=(), holder=False):
-    """The curve engines' input rules: a budget C (and ε for the Hölder run),
-    maps of the curve's dimension and every subinterval inside the natural
-    domain.  Raises ``ValueError``; returns ``gamma0`` reparameterized by arc
-    length (unchanged if it already is)."""
+def check_curve(seq, gamma0, samples, resolution, budget, subs=(), holder=False):
+    """The curve engines' input rules: at least 2 samples and a resolution of
+    at least 2, a budget C (and ε for the Hölder run), maps of the curve's
+    dimension and every subinterval inside the natural domain.  Raises
+    ``ValueError``; returns ``gamma0`` reparameterized by arc length
+    (unchanged if it already is)."""
+    if int(samples) < 2:
+        raise ValueError("curve engines need at least 2 samples")
+    if int(resolution) < 2:
+        raise ValueError("curve engines need a resolution of at least 2")
     if budget.C is None:
         raise ValueError("curve engines need a budget C (analytic or sampled)")
     if holder and budget.epsilon is None:
@@ -265,8 +283,8 @@ def _argmax_pair(a):
 
 
 def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
-    gamma0 = check_curve(seq, gamma0, resolution, budget, holder=holder)
-    eps = budget.epsilon
+    gamma0 = check_curve(seq, gamma0, samples, resolution, budget, holder=holder)
+    eps = budget.epsilon if holder else 1.0  # x ** 1.0 == x
     a, b = gamma0.domain
     t_quad, h = _simpson_nodes(a, b, resolution)
     t_s = np.linspace(a, b, int(samples))
@@ -305,7 +323,7 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
         lemma1_inc, lemma1_pair = _argmax_pair(lhs1 - base)
         lemma2_inc, lemma2_pair = _argmax_pair(lhs2)
 
-        sum_L += l_i**eps if holder else l_i
+        sum_L += l_i**eps
         sum_alpha += alpha_i
         quad_err += err_i
         per_step.append(
@@ -321,6 +339,7 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
             )
         )
 
+    _record_log_bounds(per_step, budget.C * budget.C, eps)
     final_norms = np.linalg.norm(tans[n_q:], axis=1)
     if np.any(final_norms <= 0):
         raise HypothesisViolationError("final tangent vanished", step=len(seq))
@@ -405,7 +424,7 @@ def run_curve_holder(seq, gamma0, samples, resolution, budget):
 def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
     """Arc-length ratio form: L(F_n∘γ0 over sub1) / L(... over sub2) inside the
     sandwich r·K^{∓1} with K = (e^{C²(α+L)})²."""
-    gamma0 = check_curve(seq, gamma0, resolution, budget, (sub1, sub2))
+    gamma0 = check_curve(seq, gamma0, samples, resolution, budget, (sub1, sub2))
     base = run_curve(seq, gamma0, samples, resolution, budget)
 
     # both subcurves' nodes in one batch; plain Simpson on each half

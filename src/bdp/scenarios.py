@@ -88,26 +88,18 @@ def quadratic_1d_ratio_constants(a, b):
     return c, length_budget
 
 
-def _affine_map(mat, offset, name, region=None, seminorms=None):
-    mat = np.asarray(mat, dtype=float)
-    offset = np.asarray(offset, dtype=float)
-    d = mat.shape[0]
-    return SmoothMap(
-        dim=d,
-        second=lambda x, u, v: np.zeros(d),
-        region=region,
-        name=name,
-        seminorms=seminorms,
-        func_batch=lambda X: X @ mat.T + offset,
-        jacobian_batch=lambda X: np.broadcast_to(mat, (len(X), d, d)).copy(),
-    )
-
-
 def rotation_map(theta):
     """Planar rotation by ``theta``; an isometry, so all analytic constants are tight."""
     c, s = math.cos(theta), math.sin(theta)
-    seminorms = SeminormEstimate(c1=1.0, c1_inv=1.0, c2=0.0, provenance="analytic")
-    return _affine_map([[c, -s], [s, c]], [0.0, 0.0], f"rotation({theta})", seminorms=seminorms)
+    mat = np.array([[c, -s], [s, c]])
+    return SmoothMap(
+        dim=2,
+        second=lambda x, u, v: np.zeros(2),
+        name=f"rotation({theta})",
+        seminorms=SeminormEstimate(c1=1.0, c1_inv=1.0, c2=0.0, provenance="analytic"),
+        func_batch=lambda X: X @ mat.T,
+        jacobian_batch=lambda X: np.broadcast_to(mat, (len(X), 2, 2)).copy(),
+    )
 
 
 def quadratic_planar_map(mat, offset, hessians, region, name="quadratic-planar"):
@@ -198,42 +190,32 @@ def trace_map_invariant(p):
 # scenario families
 
 
-def _build_1d_quadratic(spec):
-    a = float(spec.params.get("a", 0.5))
-    b = float(spec.params.get("b", 0.125))
+def _build_1d_quadratic(n, seed, *, a=0.5, b=0.125):
     m = quadratic_1d(a, b)
     c, length_budget = quadratic_1d_ratio_constants(a, b)
-    seq = MapSequence(tuple([m] * spec.n))
+    seq = MapSequence(tuple([m] * n))
     budget = HypothesisBudget(C=c, L=length_budget, c_prov="analytic", l_prov="analytic")
     return seq, (0.0, 1.0), budget
 
 
-def _build_planar_rotations(spec):
-    theta = float(spec.params.get("angle", 0.1))
-    seg_len = float(spec.params.get("length", 1.0))
-    seq = MapSequence(tuple(rotation_map(theta) for _ in range(spec.n)))
-    curve = reparameterize_natural(segment([0.0, 0.0], [seg_len, 0.0]), 64)
+def _build_planar_rotations(n, seed, *, angle=0.1, length=1.0):
+    seq = MapSequence(tuple(rotation_map(angle) for _ in range(n)))
+    curve = reparameterize_natural(segment([0.0, 0.0], [length, 0.0]), 64)
+    c = max(m.seminorms.constant for m in seq)
     budget = HypothesisBudget(
-        C=1.0,
-        L=spec.n * seg_len,
-        alpha=0.0,
-        c_prov="analytic",
-        l_prov="analytic",
-        a_prov="analytic",
+        C=c, L=n * length, alpha=0.0, c_prov="analytic", l_prov="analytic", a_prov="analytic"
     )
     return seq, curve, budget
 
 
-def _build_contraction_shear(spec):
-    epsilon = spec.params.get("epsilon")
-    epsilon = float(epsilon) if epsilon is not None else None
-    rng = np.random.default_rng(spec.seed)
+def _build_contraction_shear(n, seed, *, epsilon=None):
+    rng = np.random.default_rng(seed)
     region = Box([-1.5, -1.5], [1.5, 1.5])
     maps = []
     big_c = 0.0
     rho = 0.0
     holder_c = 0.0
-    for j in range(spec.n):
+    for j in range(n):
         s = rng.uniform(0.35, 0.5)
         theta = rng.uniform(-0.3, 0.3)
         k = rng.uniform(-0.15, 0.15)
@@ -254,12 +236,12 @@ def _build_contraction_shear(spec):
     curve = circle_arc(1.0, 0.0, math.pi / 2)
     gamma0 = reparameterize_natural(curve, 512)
     length0 = gamma0.total_length
-    alpha_budget = spec.n * math.pi  # maximal angle of a curve never exceeds π
+    alpha_budget = n * math.pi  # maximal angle of a curve never exceeds π
     if epsilon is None:
-        length_budget = length0 * (1.0 - rho**spec.n) / (1.0 - rho)
+        length_budget = length0 * (1.0 - rho**n) / (1.0 - rho)
         c_used = big_c
     else:
-        length_budget = sum((length0 * rho**i) ** epsilon for i in range(spec.n))
+        length_budget = sum((length0 * rho**i) ** epsilon for i in range(n))
         c_used = holder_c
     budget = HypothesisBudget(
         C=c_used,
@@ -273,75 +255,67 @@ def _build_contraction_shear(spec):
     return MapSequence(tuple(maps)), gamma0, budget
 
 
-def _build_sturmian_two_maps(spec):
-    slope = float(spec.params.get("slope", 2.0 - (1.0 + math.sqrt(5.0)) / 2.0))
-    intercept = float(spec.params.get("intercept", 0.0))
-    word = sturmian_word(SturmianParams(slope=slope, intercept=intercept, length=spec.n))
-    map_a = quadratic_1d(0.5, 0.125, name="sturmian-A")
-    map_b = quadratic_1d(1.0 / 3.0, 1.0 / 18.0, name="sturmian-B")
-    c_a, _ = quadratic_1d_ratio_constants(0.5, 0.125)
-    c_b, _ = quadratic_1d_ratio_constants(1.0 / 3.0, 1.0 / 18.0)
-    slope_sup = max(0.75, 4.0 / 9.0)
-    budget = HypothesisBudget(
-        C=max(c_a, c_b),
-        L=1.0 / (1.0 - slope_sup),
-        c_prov="analytic",
-        l_prov="analytic",
-    )
+def _build_sturmian_two_maps(
+    n, seed, *, slope=2.0 - (1.0 + math.sqrt(5.0)) / 2.0, intercept=0.0
+):
+    word = sturmian_word(SturmianParams(slope=slope, intercept=intercept, length=n))
+    pairs = ((0.5, 0.125), (1.0 / 3.0, 1.0 / 18.0))  # maps A and B: f(x) = a·x + b·x²
+    map_a, map_b = (quadratic_1d(a, b, name=f"sturmian-{x}") for x, (a, b) in zip("AB", pairs))
+    cs, length_budgets = zip(*(quadratic_1d_ratio_constants(a, b) for a, b in pairs))
+    budget = HypothesisBudget(C=max(cs), L=max(length_budgets), c_prov="analytic", l_prov="analytic")
     seq = MapSequence(tuple(map_b if s else map_a for s in word))
     return seq, (0.0, 1.0), budget
 
 
-def _build_fibonacci_trace(spec):
-    half = float(spec.params.get("box_half_width", 2.0))
-    resolution = int(spec.params.get("seminorm_resolution", 5))
-    region = Box([-half] * 3, [half] * 3)
+def _build_fibonacci_trace(
+    n, seed, *, box_half_width=2.0, seminorm_resolution=5, segment_half_length=0.05
+):
+    region = Box([-box_half_width] * 3, [box_half_width] * 3)
     m = fibonacci_trace_map()
-    est = estimate_seminorms(m, region, resolution)
-    center = np.asarray(spec.params.get("center", [0.5, 0.5, 0.5]), dtype=float)
-    half_len = float(spec.params.get("segment_half_length", 0.05))
-    direction = np.ones(3) / math.sqrt(3.0)
-    curve = segment(center - half_len * direction, center + half_len * direction)
-    gamma0 = reparameterize_natural(curve, 64)
+    est = estimate_seminorms(m, region, int(seminorm_resolution))
+    center = np.full(3, 0.5)
+    half = segment_half_length * (np.ones(3) / math.sqrt(3.0))
+    gamma0 = reparameterize_natural(segment(center - half, center + half), 64)
     budget = HypothesisBudget(C=est.constant, c_prov="sampled")
-    seq = MapSequence(tuple([m] * spec.n))
+    seq = MapSequence(tuple([m] * n))
     return seq, gamma0, budget
 
 
+# Each builder is called as builder(n, seed, **params); its keyword-only
+# arguments and their defaults are the family's parameters.
 SCENARIOS = {
     "1d-quadratic-contraction": {
         "builder": _build_1d_quadratic,
         "kind": "1d",
-        "params": {"a": 0.5, "b": 0.125},
         "description": "n copies of f(x) = a·x + b·x² on [0,1]; analytic C and L",
     },
     "planar-rotations": {
         "builder": _build_planar_rotations,
         "kind": "curve",
-        "params": {"angle": 0.1, "length": 1.0},
         "description": "rotation isometries applied to a unit-speed segment; C = 1",
     },
     "planar-contraction-shear": {
         "builder": _build_contraction_shear,
         "kind": "curve",
-        "params": {"epsilon": None},
         "description": "seeded planar contraction+shear maps with a quadratic term "
         "on a quarter circle; closed-form budget annotations",
     },
     "sturmian-two-maps": {
         "builder": _build_sturmian_two_maps,
         "kind": "1d",
-        "params": {"slope": 0.3819660112501051, "intercept": 0.0},
         "description": "two 1D contractions alternated by a mechanical word",
     },
     "fibonacci-trace-map": {
         "builder": _build_fibonacci_trace,
         "kind": "curve",
-        "params": {"box_half_width": 2.0, "segment_half_length": 0.05},
         "description": "the trace map (x,y,z) ↦ (2xy−z, x, y) on a short segment; "
         "sampled seminorms only, so verdicts stay hypothesis-unverified",
     },
 }
+
+
+#: each family's parameters and their defaults: its builder's keyword-only arguments
+PARAMS = {family: dict(entry["builder"].__kwdefaults__) for family, entry in SCENARIOS.items()}
 
 
 def build_sequence(spec):
@@ -350,4 +324,7 @@ def build_sequence(spec):
         raise ValueError(f"unknown scenario family {spec.family!r}")
     if spec.n < 1:
         raise ValueError("scenario needs n >= 1")
-    return SCENARIOS[spec.family]["builder"](spec)
+    unknown = sorted(set(spec.params) - set(PARAMS[spec.family]))
+    if unknown:
+        raise ValueError(f"scenario {spec.family} takes no {unknown}, only {list(PARAMS[spec.family])}")
+    return SCENARIOS[spec.family]["builder"](spec.n, spec.seed, **spec.params)

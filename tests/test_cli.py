@@ -323,3 +323,70 @@ def test_run_calls_the_engine_looked_up_at_run_time(tmp_path, monkeypatch, engin
     code = run_cli("run", str(cfg), "--output-dir", str(tmp_path))
     assert code in (EXIT_HOLDS, EXIT_UNVERIFIED)
     assert calls == [args]
+
+
+# ---------------------------------------------------------------------------
+# unknown [scenario] and [budget] keys are config errors, found before any engine
+
+
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        ("quadratic_thm21.cfg", ("scenario", "bb = 0.3")),
+        ("rotations_main.cfg", ("scenario", "angel = 0.2")),
+        ("violated_budget.cfg", ("budget", "provenence = sampled")),
+    ],
+)
+def test_a_misspelled_key_fails_check_and_run(tmp_path, monkeypatch, capsys, config, extra):
+    section, line = extra
+    text = (CONFIGS / config).read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran on a config with an unknown key")
+
+    for name in DISTORTION_ENGINES:
+        monkeypatch.setattr(distortion, name, must_not_run)
+    assert run_cli("check", str(cfg)) == EXIT_CONFIG
+    assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+    assert not any(tmp_path.glob("*report.json"))
+
+
+def test_list_scenarios_shows_every_parameter_and_its_default(capsys):
+    assert run_cli("list-scenarios") == EXIT_HOLDS
+    out = capsys.readouterr().out
+    assert "'seminorm_resolution': 5" in out
+    assert "'segment_half_length': 0.05" in out
+    assert "center" not in out
+
+
+# ---------------------------------------------------------------------------
+# steps.csv: the cumulative bound is the engine's own budget
+
+
+def test_holder_cumulative_bound_sums_epsilon_powers_of_the_lengths(tmp_path):
+    cfg = tmp_path / "holder.cfg"
+    cfg.write_text(
+        "[experiment]\nengine = holder\nsamples = 60\nresolution = 128\nseed = 0\n"
+        "[scenario]\nfamily = planar-contraction-shear\nn = 8\nepsilon = 0.5\n"
+    )
+    run_cli("run", str(cfg), "--output-dir", str(tmp_path))
+    report = json.loads((tmp_path / "report.json").read_text())
+    c, eps = float(report["budget"]["C"]), float(report["budget"]["epsilon"])
+    lines = (tmp_path / "steps.csv").read_text().split()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 8 and eps == 0.5
+    expected = c * c * (sum(r["alpha_i"] for r in rows) + sum(r["length_i"] ** eps for r in rows))
+    assert rows[-1]["cumulative_log_bound"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_one_d_cumulative_bound_ends_at_c_times_the_summed_lengths(tmp_path):
+    run_cli("run", str(CONFIGS / "quadratic_thm21.cfg"), "--output-dir", str(tmp_path))
+    report = json.loads((tmp_path / "report.json").read_text())
+    lines = (tmp_path / "steps.csv").read_text().split()
+    last = float(lines[-1].split(",")[-1])
+    c, sum_l = float(report["budget"]["C"]), float(report["measured"]["sum_L"])
+    assert last == pytest.approx(c * sum_l, rel=1e-12)

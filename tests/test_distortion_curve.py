@@ -254,3 +254,13 @@ def test_lemma_checks_fail_without_budget_and_trace_stays_small():
 
     arrays = _arrays(rep.trace)
     assert arrays and max(a.size for a in arrays) <= samples
+
+
+@pytest.mark.parametrize("engine", [run_curve, run_curve_holder, arc_ratio_curve])
+@pytest.mark.parametrize("samples, resolution", [(1, 16), (0, 16), (20, 1), (20, 0)])
+def test_curve_engines_reject_fewer_than_two_samples_or_resolution(engine, samples, resolution):
+    seq, gamma0, budget = build_sequence(ScenarioSpec("planar-rotations", n=2))
+    budget = dataclasses.replace(budget, epsilon=0.5)
+    subs = ((0.0, 0.5), (0.5, 1.0)) if engine is arc_ratio_curve else ()
+    with pytest.raises(ValueError, match="at least 2"):
+        engine(seq, gamma0, *subs, samples, resolution, budget)

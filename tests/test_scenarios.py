@@ -18,6 +18,7 @@ from bdp.scenarios import (
     sturmian_word,
     trace_map_invariant,
 )
+from bdp.scenarios import PARAMS
 
 GOLDEN = 2.0 - (1.0 + math.sqrt(5.0)) / 2.0  # 2 - phi = 1/phi^2
 
@@ -159,3 +160,31 @@ def test_trace_scenario_runs_and_stays_unverified():
     assert len(rep.trace.per_step) == 3
     for rec in rep.trace.per_step:
         assert np.isfinite(rec.length) and rec.length > 0
+
+
+def test_an_unknown_parameter_is_rejected_by_name():
+    with pytest.raises(ValueError, match="'bb'"):
+        build_sequence(ScenarioSpec("1d-quadratic-contraction", n=3, params={"bb": 0.3}))
+    with pytest.raises(ValueError, match="'center'"):
+        build_sequence(ScenarioSpec("fibonacci-trace-map", n=2, params={"center": 0.5}))
+
+
+def test_parameters_are_the_builders_keyword_defaults():
+    assert "params" not in SCENARIOS["fibonacci-trace-map"]
+    assert PARAMS["fibonacci-trace-map"] == {
+        "box_half_width": 2.0,
+        "seminorm_resolution": 5,
+        "segment_half_length": 0.05,
+    }
+    # a default passed explicitly builds the same budget as leaving it out
+    for family, defaults in PARAMS.items():
+        _, _, implicit = build_sequence(ScenarioSpec(family, n=3, seed=2))
+        _, _, explicit = build_sequence(ScenarioSpec(family, n=3, seed=2, params=defaults))
+        assert implicit == explicit
+
+
+def test_budgets_come_from_the_maps_constants():
+    _, _, sturmian = build_sequence(ScenarioSpec("sturmian-two-maps", n=5))
+    assert (sturmian.C, sturmian.L) == (0.5, 4.0)
+    _, _, rotations = build_sequence(ScenarioSpec("planar-rotations", n=4, params={"length": 2.0}))
+    assert (rotations.C, rotations.L, rotations.alpha) == (1.0, 8.0, 0.0)

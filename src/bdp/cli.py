@@ -37,7 +37,8 @@ ENGINES = {
     "holder": Engine("run_curve_holder", "curve", False),
 }
 
-BUDGET_KEYS = ("c", "l", "alpha", "epsilon", "provenance")
+# [budget] key -> HypothesisBudget field, provenance field; epsilon and provenance are read apart
+BUDGET_FIELDS = (("c", "C", "c_prov"), ("l", "L", "l_prov"), ("alpha", "alpha", "a_prov"))
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -136,12 +137,12 @@ def parse_config(path):
 
     if "budget" in parser:
         bud = parser["budget"]
+        known = [key for key, _, _ in BUDGET_FIELDS] + ["epsilon", "provenance"]
         for key in bud:
-            if key not in BUDGET_KEYS:
-                raise ConfigError(f"[budget] unknown key {key!r}; expected one of {BUDGET_KEYS}")
+            if key not in known:
+                raise ConfigError(f"[budget] unknown key {key!r}; expected one of {known}")
         prov = bud.get("provenance", "analytic")
-        fields = (("c", "C", "c_prov"), ("l", "L", "l_prov"), ("alpha", "alpha", "a_prov"))
-        for key, name, prov_name in fields:
+        for key, name, prov_name in BUDGET_FIELDS:
             if key in bud:
                 cfg.budget.update({name: bud.getfloat(key), prov_name: prov})
         if "epsilon" in bud:

@@ -62,8 +62,10 @@ class StepRecord:
     the max of |log(‖J(x_k)u_l‖/‖J(x_l)u_l‖)|, and ``lemma1_pair`` and
     ``lemma2_pair`` their argmax pairs (k, l).  1D runs: ``lemma2_increment``
     is the spread of log |f_i'| on the grid and both pairs are None.
-    ``log_bound`` is the run's budget summed over steps 1..i, with the C and
-    the length terms of ``theoretical_log_K``.
+    ``log_bound`` is C (1D) or C² (curves), the C of ``theoretical_log_K``,
+    times the measured Σ_{j≤i} (α_j + L_j^ε), with ε = 1 except in the Hölder
+    run.  Where the budget states L or α, ``theoretical_log_K`` uses those
+    instead, so the last step's value can differ from it.
     """
 
     index: int
@@ -126,8 +128,9 @@ def bound_curve(C, L, alpha):
 
 
 def _record_log_bounds(per_step, coef, eps=1.0):
-    """Set each step's ``log_bound`` to Σ_{j≤i} coef·(α_j + L_j^ε), coef being
-    C (1D, α_j = 0) or C² (curves), summed in step order."""
+    """Set each step's ``log_bound`` to Σ_{j≤i} coef·(α_j + L_j^ε) over the
+    measured α_j and L_j, coef being C (1D, α_j = 0) or C² (curves) with the
+    C of ``theoretical_log_K``, summed in step order."""
     cumulative = 0.0
     for rec in per_step:
         cumulative += coef * (rec.alpha + rec.length**eps)

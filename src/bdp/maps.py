@@ -313,12 +313,11 @@ def apply_sequence(seq, x):
 
 
 def operator_norm(a):
-    """Largest singular value (Euclidean operator norm) of a matrix, or an
-    array of them for an (N, d, d) stack."""
+    """Largest singular value (Euclidean operator norm)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite matrix entries")
-    return float(np.linalg.norm(a, 2)) if a.ndim == 2 else np.linalg.norm(a, 2, axis=(1, 2))
+    return float(np.linalg.norm(a, 2))
 
 
 def _singular(jacs):
@@ -383,18 +382,16 @@ def estimate_seminorms(m, region, resolution, epsilon=None):
 
     holder = None
     if epsilon is not None:
-        n = len(pts)
-        stride = max(1, n * (n - 1) // 2 // HOLDER_PAIR_LIMIT)
+        npairs = len(pts) * (len(pts) - 1) // 2
+        stride = max(1, npairs // HOLDER_PAIR_LIMIT)
         spacing = np.min((region.hi - region.lo) / (resolution - 1))
-        best, first = 0.0, 0  # first: the index of pair (i, i + 1) in combinations order
-        for i in range(n - 1):  # every stride-th pair of that order, one grid row at a time
-            js = i + 1 + np.arange(-first % stride, n - 1 - i, stride)
-            first += n - 1 - i
-            gaps = _row_norms(pts[i] - pts[js])
-            keep = gaps >= spacing
-            if keep.any():
-                diffs = operator_norm(jacs[i] - jacs[js[keep]])
-                best = max(best, float((diffs / gaps[keep] ** epsilon).max()))
+        best = 0.0
+        for i, j in itertools.islice(itertools.combinations(range(len(pts)), 2), 0, None, stride):
+            gap = np.linalg.norm(pts[i] - pts[j])
+            if gap < spacing:
+                continue
+            diff = operator_norm(jacs[i] - jacs[j])
+            best = max(best, diff / gap**epsilon)
         holder = (epsilon, best)
 
     return SeminormEstimate(

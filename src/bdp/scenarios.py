@@ -203,7 +203,12 @@ def _build_planar_rotations(n, seed, *, angle=0.1, length=1.0):
     curve = reparameterize_natural(segment([0.0, 0.0], [length, 0.0]), 64)
     c = max(m.seminorms.constant for m in seq)
     budget = HypothesisBudget(
-        C=c, L=n * length, alpha=0.0, c_prov="analytic", l_prov="analytic", a_prov="analytic"
+        C=c,
+        L=n * length,
+        alpha=0.0,
+        c_prov="analytic",
+        l_prov="analytic",
+        a_prov="analytic",
     )
     return seq, curve, budget
 
@@ -259,10 +264,16 @@ def _build_sturmian_two_maps(
     n, seed, *, slope=2.0 - (1.0 + math.sqrt(5.0)) / 2.0, intercept=0.0
 ):
     word = sturmian_word(SturmianParams(slope=slope, intercept=intercept, length=n))
-    pairs = ((0.5, 0.125), (1.0 / 3.0, 1.0 / 18.0))  # maps A and B: f(x) = a·x + b·x²
-    map_a, map_b = (quadratic_1d(a, b, name=f"sturmian-{x}") for x, (a, b) in zip("AB", pairs))
-    cs, length_budgets = zip(*(quadratic_1d_ratio_constants(a, b) for a, b in pairs))
-    budget = HypothesisBudget(C=max(cs), L=max(length_budgets), c_prov="analytic", l_prov="analytic")
+    map_a = quadratic_1d(0.5, 0.125, name="sturmian-A")
+    map_b = quadratic_1d(1.0 / 3.0, 1.0 / 18.0, name="sturmian-B")
+    c_a, l_a = quadratic_1d_ratio_constants(0.5, 0.125)
+    c_b, l_b = quadratic_1d_ratio_constants(1.0 / 3.0, 1.0 / 18.0)
+    budget = HypothesisBudget(
+        C=max(c_a, c_b),
+        L=max(l_a, l_b),
+        c_prov="analytic",
+        l_prov="analytic",
+    )
     seq = MapSequence(tuple(map_b if s else map_a for s in word))
     return seq, (0.0, 1.0), budget
 

@@ -14,7 +14,6 @@ from bdp import (
     rotation_map,
 )
 from bdp.errors import OutOfRegionError, SingularJacobianError
-from bdp.scenarios import fibonacci_trace_map
 
 
 def affine_2d(mat, offset):
@@ -194,60 +193,3 @@ def test_map_sequence_validation():
     two_d = SmoothMap(dim=2, func=lambda x: x)
     with pytest.raises(Exception):
         MapSequence((one_d, two_d))
-
-
-def _holder_reference(m, region, resolution, epsilon, limit):
-    """The pair-by-pair Hölder quotient: pair k of itertools.combinations
-    order is visited when k % stride == 0."""
-    import itertools
-
-    from bdp.maps import jacobians
-
-    pts = region.grid(resolution)
-    jacs = jacobians(m, pts)
-    stride = max(1, len(pts) * (len(pts) - 1) // 2 // limit)
-    spacing = np.min((region.hi - region.lo) / (resolution - 1))
-    best = 0.0
-    for i, j in itertools.islice(itertools.combinations(range(len(pts)), 2), 0, None, stride):
-        gap = np.linalg.norm(pts[i] - pts[j])
-        if gap < spacing:
-            continue
-        best = max(best, operator_norm(jacs[i] - jacs[j]) / gap**epsilon)
-    return best
-
-
-def _wiggly_map():
-    # Jacobians with no structure, so the maximum depends on which pairs are visited
-    def jacobian_batch(X):
-        k = np.arange(9).reshape(3, 3) + 1.0
-        return np.sin(k * X[:, 0, None, None] + k**2 * X[:, 1, None, None] - X[:, 2, None, None])
-
-    return SmoothMap(
-        dim=3,
-        func_batch=lambda X: X,
-        jacobian_batch=jacobian_batch,
-        second=lambda x, u, v: np.zeros(3),
-    )
-
-
-@pytest.mark.parametrize("limit", [100_000, 1000, 333])
-@pytest.mark.parametrize("epsilon", [0.25, 0.5])
-def test_holder_quotient_equals_the_pair_loop(monkeypatch, limit, epsilon):
-    from bdp import maps
-
-    monkeypatch.setattr(maps, "HOLDER_PAIR_LIMIT", limit)
-    box = Box([-2.0, -1.0, -0.5], [2.0, 1.0, 1.5])
-    for m, res in ((_wiggly_map(), 5), (fibonacci_trace_map(), 4)):
-        est = estimate_seminorms(m, box, res, epsilon=epsilon)
-        assert est.holder == (epsilon, _holder_reference(m, box, res, epsilon, limit))
-
-
-def test_holder_quotient_rejects_non_finite_differences():
-    huge = SmoothMap(
-        dim=1,
-        func_batch=lambda X: X,
-        jacobian_batch=lambda X: np.where(X > 0, 1e308, -1e308)[..., None],
-        second=lambda x, u, v: np.zeros(1),
-    )
-    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-        estimate_seminorms(huge, Box([-1.0], [1.0]), 4, epsilon=0.5)

@@ -2,8 +2,9 @@
 
 Configs are INI files with nested sections; see the configs/ directory for
 examples.  Exit codes: 0 bound-holds, 1 bound-violated, 2 hypothesis
-unverified or violated (including a map that fails on the orbit), 3 config
-error, 4 internal error (an unexpected exception; its traceback is printed).
+unverified or violated (including a map that fails on the orbit), 3 config or
+usage error, 4 internal error (an unexpected exception; its traceback is
+printed).
 """
 
 import argparse
@@ -11,11 +12,9 @@ import configparser
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__, curves, distortion, scenarios
 from .distortion import BOUND_HOLDS, BOUND_VIOLATED, UNVERIFIED, HypothesisBudget
@@ -37,6 +36,10 @@ ENGINES = {
     "holder": Engine("run_curve_holder", "curve", False),
 }
 
+#: [experiment] keys besides engine, with their defaults; the flags of the same names override them
+EXPERIMENT = {"samples": 200, "resolution": 256, "seed": 0}
+#: [output] keys, with the default names of the files a run writes
+OUTPUTS = {"report": "report.json", "table": "steps.csv", "plot": "logratio.csv"}
 # [budget] key -> HypothesisBudget field, provenance field; epsilon and provenance are read apart
 BUDGET_FIELDS = (("c", "C", "c_prov"), ("l", "L", "l_prov"), ("alpha", "alpha", "a_prov"))
 
@@ -53,127 +56,152 @@ def _fmt(x):
 
 @dataclass
 class ExperimentConfig:
+    """A config read by ``parse_config``: the engine, the fields the report
+    echoes, and the engine's checked arguments."""
+
     engine: str
-    samples: int = 200
-    resolution: int = 256
-    seed: int = 0
-    scenario: scenarios.ScenarioSpec = None
-    inline: dict = field(default_factory=dict)
-    subintervals: tuple = ()
-    budget: dict = field(default_factory=dict)  # HypothesisBudget fields from [budget]
-    outputs: dict = field(default_factory=dict)
-    echo: dict = field(default_factory=dict)
+    samples: int
+    resolution: int
+    seed: int
+    args: tuple  # (seq, domain, *subintervals, *sizes, budget)
+    outputs: dict
+    echo: dict
 
 
-def _parse_pair(text, section, key):
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ConfigError(f"[{section}] {key}: expected two numbers, got {text!r}")
+def _read(parser, name, required=(), optional=()):
+    """Section ``name`` as a dict: every ``required`` key and any of the
+    ``optional`` ones, and no other key.  A section with no required key may
+    be left out; it then reads as {}."""
+    if name not in parser:
+        if required:
+            raise ConfigError(f"missing [{name}] section")
+        return {}
+    section = dict(parser[name])
+    known = [*required, *optional]
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"[{name}] unknown key {key!r}; expected one of {known}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"[{name}] missing field {key!r}")
+    return section
+
+
+def _floats(text, section, key, count=None):
+    """The numbers of a value, separated by spaces or commas; ``count`` of them if given."""
     try:
-        return (float(parts[0]), float(parts[1]))
+        values = tuple(float(v) for v in text.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    if count is not None and len(values) != count:
+        raise ConfigError(f"[{section}] {key}: expected {count} numbers, got {text!r}")
+    return values
 
 
-def parse_config(path):
-    """Parse and validate an experiment config file."""
+def parse_config(path, samples=None, resolution=None, seed=None):
+    """Read a config in one pass into an ``ExperimentConfig`` whose engine
+    arguments have passed the engine's own input checks, so that ``bdp
+    check`` accepts exactly what ``bdp run`` runs.  ``samples``,
+    ``resolution`` and ``seed``, where given, override the config; the seed
+    of a [scenario] is ``seed``, else its own, else the [experiment] one."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
 
-    if "experiment" not in parser:
-        raise ConfigError("missing [experiment] section")
-    exp = parser["experiment"]
-    engine = exp.get("engine")
-    if engine not in ENGINES:
-        raise ConfigError(f"[experiment] engine must be one of {tuple(ENGINES)}, got {engine!r}")
-    cfg = ExperimentConfig(
-        engine=engine,
-        samples=exp.getint("samples", fallback=200),
-        resolution=exp.getint("resolution", fallback=256),
-        seed=exp.getint("seed", fallback=0),
-    )
+    exp = _read(parser, "experiment", ("engine",), EXPERIMENT)
+    name = exp["engine"]
+    if name not in ENGINES:
+        raise ConfigError(f"[experiment] engine must be one of {tuple(ENGINES)}, got {name!r}")
+    engine = ENGINES[name]
+    flags = {"samples": samples, "resolution": resolution, "seed": seed}
+    settings = {
+        key: int(exp.get(key, default)) if flags[key] is None else flags[key]
+        for key, default in EXPERIMENT.items()
+    }
+    if engine.kind == "1d" and settings["resolution"] < 2:  # read by no 1D engine
+        raise ConfigError("[experiment] resolution must be >= 2")
+
+    maps = [s for s in parser.sections() if s.startswith("map.")]
+    if "scenario" in parser:
+        source, sections = "a [scenario]", ["scenario"]
+    else:
+        source, sections = "inline maps", maps + ["interval" if engine.kind == "1d" else "curve"]
+    sections += ["experiment", "budget", "output"]
+    if engine.subintervals:
+        sections.append("subintervals")
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"engine {name} with {source} reads no [{section}], only {sections}")
 
     if "scenario" in parser:
-        if any(s.startswith("map.") for s in parser.sections()):
-            raise ConfigError("config may use either [scenario] or inline [map.*] sections, not both")
-        sc = parser["scenario"]
-        family = sc.get("family")
+        family = parser["scenario"].get("family")
         if family not in scenarios.SCENARIOS:
             raise ConfigError(
                 f"[scenario] family must be one of {sorted(scenarios.SCENARIOS)}, got {family!r}"
             )
+        sc = _read(parser, "scenario", ("family",), ("n", "seed", *scenarios.PARAMS[family]))
+        del sc["family"]
+        n = int(sc.pop("n", scenarios.ScenarioSpec.n))
+        spec_seed = int(sc.pop("seed", settings["seed"]))
         params = {}
         for key, value in sc.items():
-            if key in ("family", "n", "seed"):
-                continue
             try:
                 params[key] = float(value)
             except ValueError as exc:
                 raise ConfigError(f"[scenario] {key}: not a number: {value!r}") from exc
-        cfg.scenario = scenarios.ScenarioSpec(
-            family=family,
-            n=sc.getint("n", fallback=10),
-            seed=sc.getint("seed", fallback=cfg.seed),
-            params=params,
-        )
+        spec = scenarios.ScenarioSpec(family, n, spec_seed if seed is None else seed, params)
+        seq, domain, budget = scenarios.build_sequence(spec)
+        kind = scenarios.SCENARIOS[family]["kind"]
+        if kind != engine.kind:
+            raise ConfigError(f"engine {name} needs a {engine.kind} scenario, got a {kind} scenario")
     else:
-        cfg.inline = _parse_inline(parser)
-        if not cfg.inline:
-            raise ConfigError("config needs a [scenario] section or inline [map.*] sections")
+        seq, domain = _inline(parser, maps, engine.kind)
+        budget = HypothesisBudget()
 
-    if ENGINES[engine].subintervals:
-        if "subintervals" not in parser:
-            raise ConfigError(f"engine {engine} requires a [subintervals] section")
-        subs = parser["subintervals"]
-        for key in ("sub1", "sub2"):
-            if key not in subs:
-                raise ConfigError(f"[subintervals] missing field {key!r}")
-        cfg.subintervals = (
-            _parse_pair(subs["sub1"], "subintervals", "sub1"),
-            _parse_pair(subs["sub2"], "subintervals", "sub2"),
-        )
+    bud = _read(parser, "budget", (), [key for key, _, _ in BUDGET_FIELDS] + ["epsilon", "provenance"])
+    prov = bud.pop("provenance", "analytic")
+    if prov not in ("analytic", "sampled"):
+        raise ConfigError("[budget] provenance must be analytic or sampled")
+    changes = {"epsilon": float(bud["epsilon"])} if "epsilon" in bud else {}
+    for key, field_name, prov_name in BUDGET_FIELDS:
+        if key in bud:
+            changes.update({field_name: float(bud[key]), prov_name: prov})
+    budget = replace(budget, **changes)
 
-    if "budget" in parser:
-        bud = parser["budget"]
-        known = [key for key, _, _ in BUDGET_FIELDS] + ["epsilon", "provenance"]
-        for key in bud:
-            if key not in known:
-                raise ConfigError(f"[budget] unknown key {key!r}; expected one of {known}")
-        prov = bud.get("provenance", "analytic")
-        for key, name, prov_name in BUDGET_FIELDS:
-            if key in bud:
-                cfg.budget.update({name: bud.getfloat(key), prov_name: prov})
-        if "epsilon" in bud:
-            cfg.budget["epsilon"] = bud.getfloat("epsilon")
-        if prov not in ("analytic", "sampled"):
-            raise ConfigError("[budget] provenance must be analytic or sampled")
+    subs = ()
+    if engine.subintervals:
+        table = _read(parser, "subintervals", ("sub1", "sub2"))
+        subs = tuple(_floats(table[key], "subintervals", key, 2) for key in ("sub1", "sub2"))
+    if engine.kind == "1d":
+        distortion.check_1d(seq, domain, settings["samples"], subs)
+        sizes = (settings["samples"],)
+    else:
+        sizes = (settings["samples"], settings["resolution"])
+        domain = distortion.check_curve(seq, domain, *sizes, budget, subs, name == "holder")
 
-    if "output" in parser:
-        cfg.outputs = dict(parser["output"])
-
-    cfg.echo = {section: dict(parser[section]) for section in parser.sections()}
-    return cfg
-
-
-def _parse_inline(parser):
-    """Inline map/curve definitions: [map.N] sections with polynomial
-    coefficient tables ("coef e1 ... ed" monomials, ';'-separated), plus an
-    [interval] or [curve] section."""
-    map_sections = sorted(
-        (s for s in parser.sections() if s.startswith("map.")),
-        key=lambda s: int(s.split(".", 1)[1]),
+    return ExperimentConfig(
+        engine=name,
+        **settings,
+        args=(seq, domain, *subs, *sizes, budget),
+        outputs={**OUTPUTS, **_read(parser, "output", (), OUTPUTS)},
+        echo={section: dict(parser[section]) for section in parser.sections()},
     )
+
+
+def _inline(parser, map_sections, kind):
+    """(seq, domain) of the inline [map.N] sections, whose keys comp0 ...
+    comp{d-1} are polynomial coefficient tables ("coef e1 ... ed" monomials,
+    ';'-separated), and an [interval] (1D engines) or [curve] section."""
     if not map_sections:
-        return {}
+        raise ConfigError("config needs a [scenario] section or inline [map.*] sections")
     maps = []
-    for section in map_sections:
+    for section in sorted(map_sections, key=lambda s: int(s.split(".", 1)[1])):
+        keys = [f"comp{i}" for i in range(len(parser[section]))]
+        table = _read(parser, section, keys)
         comps = []
-        keys = sorted(parser[section], key=lambda k: int(k.replace("comp", "") or 0))
         for key in keys:
             terms = []
-            for chunk in parser[section][key].split(";"):
+            for chunk in table[key].split(";"):
                 chunk = chunk.strip()
                 if not chunk:
                     continue
@@ -183,73 +211,26 @@ def _parse_inline(parser):
                 except (ValueError, IndexError) as exc:
                     raise ConfigError(f"[{section}] {key}: bad monomial {chunk!r}") from exc
             comps.append(terms)
-        dims = {len(e) for c in comps for _, e in c}
-        if dims and dims != {len(comps)}:
-            raise ConfigError(f"[{section}]: exponent length must equal component count")
         maps.append(polynomial_map(comps, name=section))
+    seq = MapSequence(tuple(maps))
 
-    inline = {"maps": maps}
-    if "interval" in parser:
-        iv = parser["interval"]
-        for key in ("lo", "hi"):
-            if key not in iv:
-                raise ConfigError(f"[interval] missing field {key!r}")
-        inline["interval"] = (iv.getfloat("lo"), iv.getfloat("hi"))
-    elif "curve" in parser:
-        cv = parser["curve"]
-        kind = cv.get("type")
-        if kind == "segment":
-            p0 = [float(v) for v in cv.get("p0", "").split()]
-            p1 = [float(v) for v in cv.get("p1", "").split()]
-            inline["curve"] = curves.segment(p0, p1)
-        elif kind == "circle-arc":
-            inline["curve"] = curves.circle_arc(
-                cv.getfloat("radius", fallback=1.0),
-                cv.getfloat("t0", fallback=0.0),
-                cv.getfloat("t1", fallback=float(np.pi / 2)),
-            )
-        else:
-            raise ConfigError(f"[curve] type must be segment or circle-arc, got {kind!r}")
-    else:
-        raise ConfigError("inline maps need an [interval] or [curve] section")
-    return inline
-
-
-def _materialize(cfg):
-    """The engine's inputs (seq, domain, budget), checked by the engine's own
-    rules, so that ``bdp check`` accepts exactly what ``bdp run`` runs."""
-    engine = ENGINES[cfg.engine]
-    if engine.kind == "1d" and cfg.resolution < 2:  # read by no 1D engine
-        raise ConfigError("[experiment] resolution must be >= 2")
-    if cfg.scenario is not None:
-        seq, domain, budget = scenarios.build_sequence(cfg.scenario)
-        kind = scenarios.SCENARIOS[cfg.scenario.family]["kind"]
-    else:
-        seq = MapSequence(tuple(cfg.inline["maps"]))
-        kind = "1d" if "interval" in cfg.inline else "curve"
-        domain = cfg.inline["interval" if kind == "1d" else "curve"]
-        budget = HypothesisBudget()
-    if kind != engine.kind:
-        raise ConfigError(
-            f"engine {cfg.engine} needs a {engine.kind} scenario, got a {kind} scenario"
-        )
-    budget = replace(budget, **cfg.budget)
     if kind == "1d":
-        distortion.check_1d(seq, domain, cfg.samples, cfg.subintervals)
-    else:
-        holder = cfg.engine == "holder"
-        sizes = (cfg.samples, cfg.resolution)
-        domain = distortion.check_curve(seq, domain, *sizes, budget, cfg.subintervals, holder)
-    return seq, domain, budget
+        iv = _read(parser, "interval", ("lo", "hi"))
+        return seq, (float(iv["lo"]), float(iv["hi"]))
+    shape = parser.get("curve", "type", fallback=None)
+    if shape == "segment":
+        cv = _read(parser, "curve", ("type", "p0", "p1"))
+        return seq, curves.segment(*(_floats(cv[key], "curve", key) for key in ("p0", "p1")))
+    if shape == "circle-arc":
+        cv = _read(parser, "curve", ("type",), ("radius", "t0", "t1"))
+        return seq, curves.circle_arc(**{key: float(cv[key]) for key in cv if key != "type"})
+    raise ConfigError(f"[curve] type must be segment or circle-arc, got {shape!r}")
 
 
 def run_experiment(cfg):
-    """Execute the configured engine; returns (report dict, step rows, exit code)."""
-    seq, domain, budget = _materialize(cfg)
-    engine = ENGINES[cfg.engine]
-    sizes = (cfg.samples,) if engine.kind == "1d" else (cfg.samples, cfg.resolution)
+    """Execute the configured engine; returns (report dict, step rows, exit code, report)."""
     # looked up at run time, so a patched engine is the one that runs
-    report = getattr(distortion, engine.function)(seq, domain, *cfg.subintervals, *sizes, budget)
+    report = getattr(distortion, ENGINES[cfg.engine].function)(*cfg.args)
 
     code = {BOUND_HOLDS: EXIT_HOLDS, BOUND_VIOLATED: EXIT_VIOLATED, UNVERIFIED: EXIT_UNVERIFIED}[
         report.verdict
@@ -310,17 +291,17 @@ def _step_rows(report):
 def _write_outputs(cfg, report_dict, rows, out_dir, json_only, trace):
     out_dir = Path(out_dir) if out_dir else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / cfg.outputs.get("report", "report.json")
+    report_path = out_dir / cfg.outputs["report"]
     report_path.write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
     written = [report_path]
     if not json_only:
-        table_path = out_dir / cfg.outputs.get("table", "steps.csv")
+        table_path = out_dir / cfg.outputs["table"]
         header = "step_index,length_i,alpha_i,lemma1_increment,lemma2_increment,cumulative_log_bound"
         lines = [header] + [",".join(str(c) for c in row) for row in rows]
         table_path.write_text("\n".join(lines) + "\n")
         written.append(table_path)
         if trace.sample_logs is not None:
-            plot_path = out_dir / cfg.outputs.get("plot", "logratio.csv")
+            plot_path = out_dir / cfg.outputs["plot"]
             ref = trace.sample_logs[0]
             plines = ["parameter,log_ratio"]
             for t, lg in zip(trace.sample_params, trace.sample_logs):
@@ -347,7 +328,10 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json-only", action="store_true")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the "unverified" code
+        return EXIT_CONFIG if exc.code else EXIT_HOLDS
 
     if args.command == "list-scenarios":
         for name in sorted(scenarios.SCENARIOS):
@@ -357,15 +341,8 @@ def main(argv=None):
         return EXIT_HOLDS
 
     try:
-        cfg = parse_config(args.config)
-        for attr in ("samples", "resolution", "seed"):
-            value = getattr(args, attr)
-            if value is not None:
-                setattr(cfg, attr, value)
-                if attr == "seed" and cfg.scenario is not None:
-                    cfg.scenario = replace(cfg.scenario, seed=value)
+        cfg = parse_config(args.config, args.samples, args.resolution, args.seed)
         if args.command == "check":
-            _materialize(cfg)
             print(f"config ok: engine={cfg.engine}")
             return EXIT_HOLDS
         report_dict, rows, code, report = run_experiment(cfg)

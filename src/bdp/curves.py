@@ -197,6 +197,8 @@ def segment(p0, p1):
 
 def circle_arc(radius=1.0, t0=0.0, t1=np.pi / 2):
     """Planar circular arc (r cos t, r sin t) for t in [t0, t1]."""
+    if radius == 0:
+        raise ValueError("degenerate circle arc: radius 0")
     return ParamCurve(
         domain=(t0, t1),
         position=lambda t: np.array([radius * np.cos(t), radius * np.sin(t)]),

@@ -47,8 +47,8 @@ class HypothesisBudget:
 
     def __post_init__(self):
         for v in (self.C, self.L, self.alpha):
-            if v is not None and v < 0:
-                raise ValueError("budget constants must be nonnegative")
+            if v is not None and not v >= 0:  # NaN fails it too
+                raise ValueError("budget constants must be nonnegative numbers")
         if self.epsilon is not None and not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
 

@@ -283,7 +283,7 @@ def _build_fibonacci_trace(
 ):
     region = Box([-box_half_width] * 3, [box_half_width] * 3)
     m = fibonacci_trace_map()
-    est = estimate_seminorms(m, region, int(seminorm_resolution))
+    est = estimate_seminorms(m, region, seminorm_resolution)
     center = np.full(3, 0.5)
     half = segment_half_length * (np.ones(3) / math.sqrt(3.0))
     gamma0 = reparameterize_natural(segment(center - half, center + half), 64)
@@ -330,12 +330,20 @@ PARAMS = {family: dict(entry["builder"].__kwdefaults__) for family, entry in SCE
 
 
 def build_sequence(spec):
-    """Materialize a scenario: (MapSequence, curve or interval, HypothesisBudget)."""
+    """Materialize a scenario: (MapSequence, curve or interval, HypothesisBudget).
+    Each parameter must be one of the family's, and integral where its default is an int."""
     if spec.family not in SCENARIOS:
         raise ValueError(f"unknown scenario family {spec.family!r}")
     if spec.n < 1:
         raise ValueError("scenario needs n >= 1")
-    unknown = sorted(set(spec.params) - set(PARAMS[spec.family]))
+    defaults = PARAMS[spec.family]
+    unknown = sorted(set(spec.params) - set(defaults))
     if unknown:
-        raise ValueError(f"scenario {spec.family} takes no {unknown}, only {list(PARAMS[spec.family])}")
-    return SCENARIOS[spec.family]["builder"](spec.n, spec.seed, **spec.params)
+        raise ValueError(f"scenario {spec.family} takes no {unknown}, only {list(defaults)}")
+    params = dict(spec.params)
+    for key, value in spec.params.items():
+        if isinstance(defaults[key], int):
+            if not float(value).is_integer():
+                raise ValueError(f"scenario parameter {key!r} must be an integer, got {value!r}")
+            params[key] = int(value)
+    return SCENARIOS[spec.family]["builder"](spec.n, spec.seed, **params)

@@ -253,6 +253,11 @@ def test_subinterval_outside_the_domain_fails_check_and_run(tmp_path, engine):
 
 ONE_D_MAP = "[map.0]\ncomp0 = 0.5 1\n"
 ONE_D_HEAD = "[experiment]\nengine = thm-2.1\nsamples = 20\n" + ONE_D_MAP
+INLINE_CURVE = (
+    "[experiment]\nengine = main-thm\nsamples = 20\nresolution = 16\n"
+    "[map.0]\ncomp0 = 0.5 1 0\ncomp1 = 0.5 0 1\n[budget]\nc = 1\n"
+)
+INTERVAL = "[interval]\nlo = 0\nhi = 1\n"
 BAD_INPUTS = {
     "reversed-interval": (ONE_D_HEAD + "[interval]\nlo = 1\nhi = 0\n", ()),
     "3d-segment-2d-maps": (
@@ -266,6 +271,11 @@ BAD_INPUTS = {
     "samples-0": ((CONFIGS / "rotations_main.cfg").read_text(), ("--samples", "0")),
     "samples-1": ((CONFIGS / "rotations_main.cfg").read_text(), ("--samples", "1")),
     "samples-1-1d": ((CONFIGS / "quadratic_thm21.cfg").read_text(), ("--samples", "1")),
+    "nan-budget-c": ((CONFIGS / "quadratic_thm21.cfg").read_text() + "[budget]\nc = nan\n", ()),
+    "fractional-seminorm-resolution": (
+        (CONFIGS / "tracemap.cfg").read_text() + "seminorm_resolution = 3.7\n", ()
+    ),
+    "zero-radius-arc": (INLINE_CURVE + "[curve]\ntype = circle-arc\nradius = 0\n", ()),
 }
 DISTORTION_ENGINES = (
     "run_1d", "interval_ratio_1d", "run_curve", "run_curve_holder", "arc_ratio_curve"
@@ -326,7 +336,7 @@ def test_run_calls_the_engine_looked_up_at_run_time(tmp_path, monkeypatch, engin
 
 
 # ---------------------------------------------------------------------------
-# unknown [scenario] and [budget] keys are config errors, found before any engine
+# a key or section that nothing reads is a config error, found before any engine
 
 
 @pytest.mark.parametrize(
@@ -335,6 +345,9 @@ def test_run_calls_the_engine_looked_up_at_run_time(tmp_path, monkeypatch, engin
         ("quadratic_thm21.cfg", ("scenario", "bb = 0.3")),
         ("rotations_main.cfg", ("scenario", "angel = 0.2")),
         ("violated_budget.cfg", ("budget", "provenence = sampled")),
+        ("rotations_main.cfg", ("experiment", "sampels = 3")),
+        ("nbdp_halves.cfg", ("subintervals", "sub3 = 0 1")),
+        ("rotations_main.cfg", ("output", "reprot = r.json")),
     ],
 )
 def test_a_misspelled_key_fails_check_and_run(tmp_path, monkeypatch, capsys, config, extra):
@@ -352,6 +365,60 @@ def test_a_misspelled_key_fails_check_and_run(tmp_path, monkeypatch, capsys, con
     assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
     assert repr(line.split(" = ")[0]) in capsys.readouterr().err
     assert not any(tmp_path.glob("*report.json"))
+
+
+UNREAD = {  # config text, what stderr must name
+    "interval-mid": (ONE_D_HEAD + INTERVAL + "mid = 0.5\n", "unknown key 'mid'"),
+    "curve-raduis": (INLINE_CURVE + "[curve]\ntype = circle-arc\nraduis = 2\n", "unknown key 'raduis'"),
+    "map-x": (ONE_D_HEAD + "x = 1 0\n" + INTERVAL, "unknown key 'x'"),
+    "map-comp": (ONE_D_HEAD + "comp = 0.1 0\n" + INTERVAL, "unknown key 'comp'"),
+    "budjet": ((CONFIGS / "rotations_main.cfg").read_text() + "[budjet]\nc = 1\n", "[budjet]"),
+    "subintervals-on-main-thm": ((CONFIGS / "rotations_main.cfg").read_text() + SUBS, "[subintervals]"),
+    "interval-beside-scenario": ((CONFIGS / "quadratic_thm21.cfg").read_text() + INTERVAL, "[interval]"),
+    "interval-and-curve": (
+        ONE_D_HEAD + INTERVAL + "[curve]\ntype = segment\np0 = 0\np1 = 1\n", "[curve]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_a_key_or_section_nothing_reads_fails_check_and_run(tmp_path, monkeypatch, capsys, case):
+    text, named = UNREAD[case]
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(text)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran on a config with an unread key or section")
+
+    for name in DISTORTION_ENGINES:
+        monkeypatch.setattr(distortion, name, must_not_run)
+    assert run_cli("check", str(cfg)) == EXIT_CONFIG
+    assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err.count(named) == 2
+    assert not any(tmp_path.glob("*report.json"))
+
+
+@pytest.mark.parametrize("resolution", ["9", "9.0"])
+def test_an_integral_float_is_an_integer_parameter(tmp_path, resolution):
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text((CONFIGS / "tracemap.cfg").read_text() + f"seminorm_resolution = {resolution}\n")
+    assert run_cli("check", str(cfg)) == EXIT_HOLDS
+
+
+# ---------------------------------------------------------------------------
+# usage errors exit 3, never 2 (argparse's code), which reads as a verdict
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", str(CONFIGS / "rotations_main.cfg"), "--samples", "abc"], ["run"], []]
+)
+def test_a_usage_error_is_a_config_error_not_a_verdict(argv):
+    assert run_cli(*argv) == EXIT_CONFIG
+
+
+def test_help_exits_0(capsys):
+    assert run_cli("--help") == EXIT_HOLDS
+    assert "usage: bdp" in capsys.readouterr().out
 
 
 def test_list_scenarios_shows_every_parameter_and_its_default(capsys):

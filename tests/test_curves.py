@@ -194,6 +194,12 @@ def test_degenerate_domain_rejected():
         ParamCurve(domain=(1.0, 1.0), position=lambda t: np.array([t]))
 
 
+def test_zero_radius_arc_rejected():
+    # like a segment with equal ends: a bad input, not a vanishing tangent found later
+    with pytest.raises(ValueError, match="radius"):
+        circle_arc(0.0)
+
+
 def test_finite_difference_tangent_of_the_parabola():
     # built without ``tangent``: central differences inside, one-sided at the ends
     c = ParamCurve(domain=(0.0, 1.0), position=lambda t: np.array([t, t * t]))

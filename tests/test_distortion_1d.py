@@ -44,6 +44,13 @@ def test_bound_monotone_in_arguments():
     assert bound_1d(0.5, 3.0) >= bound_1d(0.5, 2.0)
 
 
+@pytest.mark.parametrize("field", ["C", "L", "alpha"])
+def test_a_nan_budget_constant_is_rejected(field):
+    # NaN compares false with everything, so it would pass a `v < 0` test
+    with pytest.raises(ValueError, match="nonnegative"):
+        HypothesisBudget(**{field: float("nan")})
+
+
 def test_affine_sequence_zero_log_ratio():
     rng = np.random.default_rng(17)
     seq = MapSequence(

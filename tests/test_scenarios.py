@@ -169,6 +169,16 @@ def test_an_unknown_parameter_is_rejected_by_name():
         build_sequence(ScenarioSpec("fibonacci-trace-map", n=2, params={"center": 0.5}))
 
 
+def test_an_integer_parameter_takes_integral_values_only():
+    with pytest.raises(ValueError, match="seminorm_resolution"):
+        build_sequence(ScenarioSpec("fibonacci-trace-map", n=2, params={"seminorm_resolution": 3.7}))
+    budgets = [
+        build_sequence(ScenarioSpec("fibonacci-trace-map", n=2, params={"seminorm_resolution": r}))[2]
+        for r in (9, 9.0)
+    ]
+    assert budgets[0] == budgets[1]
+
+
 def test_parameters_are_the_builders_keyword_defaults():
     assert "params" not in SCENARIOS["fibonacci-trace-map"]
     assert PARAMS["fibonacci-trace-map"] == {

@@ -306,7 +306,7 @@ def test_interval_without_hi_names_the_field(tmp_path, capsys):
 
 
 SUBS = "[subintervals]\nsub1 = 0 0.5\nsub2 = 0.5 1\n"
-ONE_D_BODY = ONE_D_MAP + "[interval]\nlo = 0\nhi = 1\n"
+ONE_D_BODY = ONE_D_MAP + INTERVAL
 ROTATIONS = "[scenario]\nfamily = planar-rotations\nn = 2\n"
 ENGINE_CALLS = {  # config engine: (distortion function, body, arguments after seq and domain)
     "thm-2.1": ("run_1d", ONE_D_BODY, (20,)),

@@ -10,6 +10,7 @@ printed).
 import argparse
 import configparser
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass, replace
@@ -48,6 +49,7 @@ EXIT_VIOLATED = 1
 EXIT_UNVERIFIED = 2
 EXIT_CONFIG = 3
 EXIT_ERROR = 4
+EXIT_CODES = {BOUND_HOLDS: EXIT_HOLDS, BOUND_VIOLATED: EXIT_VIOLATED, UNVERIFIED: EXIT_UNVERIFIED}
 
 
 def _fmt(x):
@@ -87,15 +89,27 @@ def _read(parser, name, required=(), optional=()):
     return section
 
 
-def _floats(text, section, key, count=None):
-    """The numbers of a value, separated by spaces or commas; ``count`` of them if given."""
+def _floats(text, where, count=None, integral=False):
+    """The numbers of the value ``text`` of ``where`` ("[section] key"),
+    separated by spaces or commas: each finite, and an int if ``integral``
+    (200 or 200.0, not 2.5); ``count`` of them if given."""
+    tokens = text.replace(",", " ").split()
     try:
-        values = tuple(float(v) for v in text.replace(",", " ").split())
+        values = tuple(float(v) for v in tokens)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     if count is not None and len(values) != count:
-        raise ConfigError(f"[{section}] {key}: expected {count} numbers, got {text!r}")
+        raise ConfigError(f"{where}: expected {count} number{'s' * (count != 1)}, got {text!r}")
+    if not all(math.isfinite(v) and (v.is_integer() or not integral) for v in values):
+        raise ConfigError(f"{where}: {text!r} is not {'integral' if integral else 'finite'}")
+    if integral:  # an integer literal is read exactly, beyond a float's 53 bits
+        return tuple(int(t) if t.lstrip("+-").isdigit() else int(v) for t, v in zip(tokens, values))
     return values
+
+
+def _number(table, key, section, integral=False):
+    """The one number ``table[key]`` of [``section``], read by ``_floats``."""
+    return _floats(table[key], f"[{section}] {key}", 1, integral)[0]
 
 
 def parse_config(path, samples=None, resolution=None, seed=None):
@@ -109,15 +123,13 @@ def parse_config(path, samples=None, resolution=None, seed=None):
         raise ConfigError(f"cannot read config file {path}")
 
     exp = _read(parser, "experiment", ("engine",), EXPERIMENT)
-    name = exp["engine"]
+    name = exp.pop("engine")
     if name not in ENGINES:
         raise ConfigError(f"[experiment] engine must be one of {tuple(ENGINES)}, got {name!r}")
     engine = ENGINES[name]
+    settings = {**EXPERIMENT, **{k: _number(exp, k, "experiment", integral=True) for k in exp}}
     flags = {"samples": samples, "resolution": resolution, "seed": seed}
-    settings = {
-        key: int(exp.get(key, default)) if flags[key] is None else flags[key]
-        for key, default in EXPERIMENT.items()
-    }
+    settings.update({key: value for key, value in flags.items() if value is not None})
     if engine.kind == "1d" and settings["resolution"] < 2:  # read by no 1D engine
         raise ConfigError("[experiment] resolution must be >= 2")
 
@@ -141,14 +153,9 @@ def parse_config(path, samples=None, resolution=None, seed=None):
             )
         sc = _read(parser, "scenario", ("family",), ("n", "seed", *scenarios.PARAMS[family]))
         del sc["family"]
-        n = int(sc.pop("n", scenarios.ScenarioSpec.n))
-        spec_seed = int(sc.pop("seed", settings["seed"]))
-        params = {}
-        for key, value in sc.items():
-            try:
-                params[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"[scenario] {key}: not a number: {value!r}") from exc
+        params = {key: _number(sc, key, "scenario", integral=key in ("n", "seed")) for key in sc}
+        n = params.pop("n", scenarios.ScenarioSpec.n)
+        spec_seed = params.pop("seed", settings["seed"])
         spec = scenarios.ScenarioSpec(family, n, spec_seed if seed is None else seed, params)
         seq, domain, budget = scenarios.build_sequence(spec)
         kind = scenarios.SCENARIOS[family]["kind"]
@@ -159,19 +166,19 @@ def parse_config(path, samples=None, resolution=None, seed=None):
         budget = HypothesisBudget()
 
     bud = _read(parser, "budget", (), [key for key, _, _ in BUDGET_FIELDS] + ["epsilon", "provenance"])
+    if "provenance" in bud and not any(key in bud for key, _, _ in BUDGET_FIELDS):
+        raise ConfigError("[budget] provenance applies to c, l or alpha, and none is given")
     prov = bud.pop("provenance", "analytic")
-    if prov not in ("analytic", "sampled"):
-        raise ConfigError("[budget] provenance must be analytic or sampled")
-    changes = {"epsilon": float(bud["epsilon"])} if "epsilon" in bud else {}
+    changes = {"epsilon": _number(bud, "epsilon", "budget")} if "epsilon" in bud else {}
     for key, field_name, prov_name in BUDGET_FIELDS:
         if key in bud:
-            changes.update({field_name: float(bud[key]), prov_name: prov})
+            changes.update({field_name: _number(bud, key, "budget"), prov_name: prov})
     budget = replace(budget, **changes)
 
     subs = ()
     if engine.subintervals:
         table = _read(parser, "subintervals", ("sub1", "sub2"))
-        subs = tuple(_floats(table[key], "subintervals", key, 2) for key in ("sub1", "sub2"))
+        subs = tuple(_floats(table[key], f"[subintervals] {key}", 2) for key in ("sub1", "sub2"))
     if engine.kind == "1d":
         distortion.check_1d(seq, domain, settings["samples"], subs)
         sizes = (settings["samples"],)
@@ -200,42 +207,33 @@ def _inline(parser, map_sections, kind):
         table = _read(parser, section, keys)
         comps = []
         for key in keys:
-            terms = []
-            for chunk in table[key].split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                nums = chunk.split()
-                try:
-                    terms.append((float(nums[0]), tuple(int(e) for e in nums[1:])))
-                except (ValueError, IndexError) as exc:
-                    raise ConfigError(f"[{section}] {key}: bad monomial {chunk!r}") from exc
+            where, terms = f"[{section}] {key}", []
+            for chunk in filter(str.strip, table[key].split(";")):
+                coef, *expo = chunk.split()
+                expo = _floats(" ".join(expo), where, integral=True)
+                terms.append((_floats(coef, where, 1)[0], expo))
             comps.append(terms)
         maps.append(polynomial_map(comps, name=section))
     seq = MapSequence(tuple(maps))
 
     if kind == "1d":
         iv = _read(parser, "interval", ("lo", "hi"))
-        return seq, (float(iv["lo"]), float(iv["hi"]))
+        return seq, (_number(iv, "lo", "interval"), _number(iv, "hi", "interval"))
     shape = parser.get("curve", "type", fallback=None)
     if shape == "segment":
         cv = _read(parser, "curve", ("type", "p0", "p1"))
-        return seq, curves.segment(*(_floats(cv[key], "curve", key) for key in ("p0", "p1")))
+        return seq, curves.segment(*(_floats(cv[key], f"[curve] {key}") for key in ("p0", "p1")))
     if shape == "circle-arc":
         cv = _read(parser, "curve", ("type",), ("radius", "t0", "t1"))
-        return seq, curves.circle_arc(**{key: float(cv[key]) for key in cv if key != "type"})
+        del cv["type"]
+        return seq, curves.circle_arc(**{key: _number(cv, key, "curve") for key in cv})
     raise ConfigError(f"[curve] type must be segment or circle-arc, got {shape!r}")
 
 
 def run_experiment(cfg):
-    """Execute the configured engine; returns (report dict, step rows, exit code, report)."""
+    """Execute the configured engine; returns its ``BoundReport``."""
     # looked up at run time, so a patched engine is the one that runs
-    report = getattr(distortion, ENGINES[cfg.engine].function)(*cfg.args)
-
-    code = {BOUND_HOLDS: EXIT_HOLDS, BOUND_VIOLATED: EXIT_VIOLATED, UNVERIFIED: EXIT_UNVERIFIED}[
-        report.verdict
-    ]
-    return _report_dict(cfg, report), _step_rows(report), code, report
+    return getattr(distortion, ENGINES[cfg.engine].function)(*cfg.args)
 
 
 def _report_dict(cfg, report):
@@ -274,29 +272,20 @@ def _report_dict(cfg, report):
     }
 
 
-def _step_rows(report):
-    return [
-        [
-            rec.index,
-            _fmt(rec.length),
-            _fmt(rec.alpha),
-            _fmt(rec.lemma1_increment),
-            _fmt(rec.lemma2_increment),
-            _fmt(rec.log_bound),
-        ]
-        for rec in report.trace.per_step
-    ]
-
-
-def _write_outputs(cfg, report_dict, rows, out_dir, json_only, trace):
+def _write_outputs(cfg, report, out_dir, json_only):
+    """Write the report JSON and, unless ``json_only``, the step table and the
+    log-ratio plot data; returns the paths written."""
     out_dir = Path(out_dir) if out_dir else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / cfg.outputs["report"]
-    report_path.write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(_report_dict(cfg, report), indent=2, sort_keys=True) + "\n")
     written = [report_path]
+    trace = report.trace
     if not json_only:
         table_path = out_dir / cfg.outputs["table"]
         header = "step_index,length_i,alpha_i,lemma1_increment,lemma2_increment,cumulative_log_bound"
+        fields = ("length", "alpha", "lemma1_increment", "lemma2_increment", "log_bound")
+        rows = [[rec.index] + [_fmt(getattr(rec, f)) for f in fields] for rec in trace.per_step]
         lines = [header] + [",".join(str(c) for c in row) for row in rows]
         table_path.write_text("\n".join(lines) + "\n")
         written.append(table_path)
@@ -345,10 +334,8 @@ def main(argv=None):
         if args.command == "check":
             print(f"config ok: engine={cfg.engine}")
             return EXIT_HOLDS
-        report_dict, rows, code, report = run_experiment(cfg)
-        written = _write_outputs(
-            cfg, report_dict, rows, args.output_dir, args.json_only, report.trace
-        )
+        report = run_experiment(cfg)
+        written = _write_outputs(cfg, report, args.output_dir, args.json_only)
     except (ConfigError, ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -360,10 +347,10 @@ def main(argv=None):
         traceback.print_exc()
         return EXIT_ERROR
 
-    print(f"verdict: {report_dict['verdict']}")
+    print(f"verdict: {report.verdict}")
     for path in written:
         print(f"wrote {path}")
-    return code
+    return EXIT_CODES[report.verdict]
 
 
 if __name__ == "__main__":

@@ -2,14 +2,14 @@
 against the explicit bounds e^{CL} (1D) and e^{C²(α+L)} (curves in ℝ^d).
 
 All ratio accumulation happens in log space; bound comparisons are made in
-log space so huge constants never overflow.  Verdict policy: a comparison
-that relies on any sampled (non-analytic) constant can be at best
-"hypothesis-unverified", never "bound-violated", since sampled suprema are
-lower bounds.
+log space so huge constants never overflow.  Every engine's verdict is made
+by ``_report``: a comparison that relies on any untrusted (sampled) constant
+can be at best "hypothesis-unverified", never "bound-violated", since sampled
+suprema are lower bounds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .curves import NaturalCurve, _simpson, _simpson_nodes, max_angle_of_tangents
 from .curves import reparameterize_natural, simpson_richardson
 from .errors import HypothesisViolationError
-from .maps import advance, second_derivatives
+from .maps import advance, second_derivatives, trusted
 
 BOUND_HOLDS = "bound-holds"
 BOUND_VIOLATED = "bound-violated"
@@ -34,7 +34,7 @@ class HypothesisBudget:
     """The constants C, L, α (and optionally ε) with per-constant provenance.
 
     A ``None`` value means "measure it from the run"; measured values are
-    sampled by definition.  Provenance "analytic" marks trusted upper bounds.
+    sampled by definition.  Each provenance is one of ``maps.PROVENANCES``.
     """
 
     C: Optional[float] = None
@@ -46,6 +46,8 @@ class HypothesisBudget:
     a_prov: str = "sampled"
 
     def __post_init__(self):
+        for prov in (self.c_prov, self.l_prov, self.a_prov):
+            trusted(prov)  # rejects an unknown provenance
         for v in (self.C, self.L, self.alpha):
             if v is not None and not v >= 0:  # NaN fails it too
                 raise ValueError("budget constants must be nonnegative numbers")
@@ -121,6 +123,46 @@ def bound_curve(C, L, alpha):
     if C < 0 or L < 0 or alpha < 0:
         raise ValueError("constants must be nonnegative")
     return math.exp(C * C * (alpha + L))
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule, shared by every engine
+
+
+_PROVENANCE_FIELDS = {"C": "c_prov", "L": "l_prov", "alpha": "a_prov"}
+
+
+def _resolve(budget, **measured):
+    """``budget`` with each of the ``measured`` constants it leaves out
+    (None) set to the run's measurement, marked sampled."""
+    changes = {}
+    for name, value in measured.items():
+        if getattr(budget, name) is None:
+            changes.update({name: value, _PROVENANCE_FIELDS[name]: "sampled"})
+    return replace(budget, **changes)
+
+
+def _report(empirical, theo, budget, trace, allowance=0.0, extras=None):
+    """The BoundReport on ``empirical`` against ``theo`` under the resolved
+    ``budget``.  The verdict rule, in order: a measured sum above the one the
+    budget states (a measured constant is its own sum), then any constant
+    that is not trusted, makes the verdict
+    hypothesis-unverified, with a note in the trace saying which; otherwise
+    ``empirical <= theo + REPORT_TOL + allowance`` decides it."""
+    covered = trace.sum_L <= budget.L + REPORT_TOL + trace.quad_err and (
+        budget.alpha is None or trace.sum_alpha <= budget.alpha + REPORT_TOL
+    )
+    constants = zip((budget.C, budget.L, budget.alpha), (budget.c_prov, budget.l_prov, budget.a_prov))
+    if not covered:
+        note = "measured sums exceed the stated budget"
+    elif not all(trusted(prov) for value, prov in constants if value is not None):
+        note = "sampled constants: verdict limited to hypothesis-unverified"
+    else:
+        verdict = BOUND_HOLDS if empirical <= theo + REPORT_TOL + allowance else BOUND_VIOLATED
+        return BoundReport(empirical, theo, verdict, budget, trace, extras or {})
+    if note not in trace.notes:  # a ratio form repeats its base run's checks
+        trace.notes.append(note)
+    return BoundReport(empirical, theo, UNVERIFIED, budget, trace, extras or {})
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +257,11 @@ def run_1d(seq, interval, samples, budget):
         sample_logs=log_sum,
     )
 
-    c_used = budget.C if budget.C is not None else measured_C
-    c_prov = budget.c_prov if budget.C is not None else "sampled"
-    l_used = budget.L if budget.L is not None else sum_L
-    l_prov = budget.l_prov if budget.L is not None else "sampled"
-    theo = c_used * l_used
-    _record_log_bounds(per_step, c_used)
-    verdict, notes = _resolve_verdict(
-        empirical, theo, [c_prov, l_prov], budget_ok=(budget.L is None or sum_L <= budget.L + REPORT_TOL)
-    )
-    trace.notes.extend(notes)
-    resolved = HypothesisBudget(C=c_used, L=l_used, c_prov=c_prov, l_prov=l_prov)
-    return BoundReport(
-        empirical=empirical,
-        theoretical_log_K=theo,
-        verdict=verdict,
-        budget=resolved,
-        trace=trace,
-    )
+    # e^{CL} reads no α or ε; a stated one kept here would enter the trust check
+    budget = replace(budget, alpha=None, epsilon=None, a_prov="sampled")
+    budget = _resolve(budget, C=measured_C, L=sum_L)
+    _record_log_bounds(per_step, budget.C)
+    return _report(empirical, budget.C * budget.L, budget, trace)
 
 
 def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
@@ -286,6 +315,8 @@ def _argmax_pair(a):
 
 
 def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
+    """The curve engines' walk and report: C²(α + L), with a quadrature
+    allowance C²·(the summed length error estimates)."""
     gamma0 = check_curve(seq, gamma0, samples, resolution, budget, holder=holder)
     eps = budget.epsilon if holder else 1.0  # x ** 1.0 == x
     a, b = gamma0.domain
@@ -342,7 +373,8 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
             )
         )
 
-    _record_log_bounds(per_step, budget.C * budget.C, eps)
+    c2 = budget.C * budget.C
+    _record_log_bounds(per_step, c2, eps)
     final_norms = np.linalg.norm(tans[n_q:], axis=1)
     if np.any(final_norms <= 0):
         raise HypothesisViolationError("final tangent vanished", step=len(seq))
@@ -359,69 +391,22 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
         sample_logs=log_norms,
         quad_err=quad_err,
     )
-    return trace, empirical
-
-
-def _resolve_verdict(empirical, theo_log_k, provenances, budget_ok, allowance=0.0):
-    notes = []
-    if not budget_ok:
-        notes.append("measured sums exceed the stated budget")
-        return UNVERIFIED, notes
-    if any(p != "analytic" for p in provenances):
-        notes.append("sampled constants: verdict limited to hypothesis-unverified")
-        return UNVERIFIED, notes
-    if empirical <= theo_log_k + REPORT_TOL + allowance:
-        return BOUND_HOLDS, notes
-    return BOUND_VIOLATED, notes
-
-
-def _finish_curve_report(trace, empirical, budget, extras=None):
-    c_used = budget.C
-    l_used = budget.L if budget.L is not None else trace.sum_L
-    l_prov = budget.l_prov if budget.L is not None else "sampled"
-    a_used = budget.alpha if budget.alpha is not None else trace.sum_alpha
-    a_prov = budget.a_prov if budget.alpha is not None else "sampled"
-    theo = c_used * c_used * (a_used + l_used)
-    allowance = c_used * c_used * trace.quad_err
-    budget_ok = (budget.L is None or trace.sum_L <= budget.L + REPORT_TOL + trace.quad_err) and (
-        budget.alpha is None or trace.sum_alpha <= budget.alpha + REPORT_TOL
-    )
-    verdict, notes = _resolve_verdict(
-        empirical, theo, [budget.c_prov, l_prov, a_prov], budget_ok, allowance
-    )
-    trace.notes.extend(notes)
-    resolved = HypothesisBudget(
-        C=c_used,
-        L=l_used,
-        alpha=a_used,
-        epsilon=budget.epsilon,
-        c_prov=budget.c_prov,
-        l_prov=l_prov,
-        a_prov=a_prov,
-    )
-    extras = dict(extras or {})
-    extras.setdefault("quadrature_allowance", allowance)
-    return BoundReport(
-        empirical=empirical,
-        theoretical_log_K=theo,
-        verdict=verdict,
-        budget=resolved,
-        trace=trace,
-        extras=extras,
-    )
+    budget = _resolve(budget, L=sum_L, alpha=sum_alpha)
+    allowance = c2 * quad_err
+    extras = {"holder": True} if holder else {}
+    extras["quadrature_allowance"] = allowance
+    return _report(empirical, c2 * (budget.alpha + budget.L), budget, trace, allowance, extras)
 
 
 def run_curve(seq, gamma0, samples, resolution, budget):
     """Main curve engine: sup |log(‖u_n‖/‖v_n‖)| against C²(α + L)."""
-    trace, empirical = _curve_run(seq, gamma0, samples, resolution, budget)
-    return _finish_curve_report(trace, empirical, budget)
+    return _curve_run(seq, gamma0, samples, resolution, budget)
 
 
 def run_curve_holder(seq, gamma0, samples, resolution, budget):
     """Hölder (C^{1+ε}) variant: the length budget accumulates L_i^ε and the
     constant C is understood to bound ‖Df‖_ε in place of ‖f‖₂."""
-    trace, empirical = _curve_run(seq, gamma0, samples, resolution, budget, holder=True)
-    return _finish_curve_report(trace, empirical, budget, extras={"holder": True})
+    return _curve_run(seq, gamma0, samples, resolution, budget, holder=True)
 
 
 def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
@@ -446,24 +431,13 @@ def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
 
 
 def _ratio_report(base, ratio, sub1, sub2, extras, allowance=0.0):
-    """The ratio forms' sandwich r·K^{∓1}, K the base run's bound squared.
-
-    An unverified base run keeps its verdict and its notes, which already say
-    why; otherwise every constant is analytic and only the comparison is left."""
+    """The ratio forms' sandwich r·K^{∓1}, K the base run's bound squared,
+    judged by the verdict rule on the base run's budget and trace."""
     r = abs(sub1[1] - sub1[0]) / abs(sub2[1] - sub2[0])
     empirical = abs(math.log(ratio / r))
     theo = 2.0 * base.theoretical_log_K
-    verdict = base.verdict
-    if verdict != UNVERIFIED:
-        verdict = BOUND_HOLDS if empirical <= theo + REPORT_TOL + allowance else BOUND_VIOLATED
-    return BoundReport(
-        empirical=empirical,
-        theoretical_log_K=theo,
-        verdict=verdict,
-        budget=base.budget,
-        trace=base.trace,
-        extras={"ratio": ratio, "r": r, **extras},
-    )
+    extras = {"ratio": ratio, "r": r, **extras}
+    return _report(empirical, theo, base.budget, base.trace, allowance, extras)
 
 
 @dataclass

@@ -32,6 +32,17 @@ STEP2 = _EPS ** (1.0 / 4.0)
 #: most grid-point pairs the sampled Hölder quotient visits
 HOLDER_PAIR_LIMIT = 100_000
 SINGULARITY_RTOL = 1e-14
+#: every provenance a constant or seminorm may carry, and whether a verdict trusts it:
+#: analytic values are upper bounds, sampled ones grid maxima (lower bounds of the suprema)
+PROVENANCES = {"analytic": True, "sampled": False}
+
+
+def trusted(provenance):
+    """Whether ``provenance`` marks a trusted upper bound; ``ValueError`` for
+    a string that is not one of PROVENANCES."""
+    if provenance not in PROVENANCES:
+        raise ValueError(f"provenance must be one of {list(PROVENANCES)}, got {provenance!r}")
+    return PROVENANCES[provenance]
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,8 @@ class Box:
 class SeminormEstimate:
     """Bounds on ‖f‖₁, ‖f⁻¹‖₁, ‖f‖₂ (and optionally ‖Df‖_ε) over a region.
 
-    ``provenance`` is "analytic" for trusted upper bounds and "sampled" for
-    grid maxima, which are lower bounds of the suprema.
+    ``provenance`` is one of PROVENANCES: "analytic" for trusted upper
+    bounds, "sampled" for grid maxima.
     """
 
     c1: float
@@ -85,12 +96,13 @@ class SeminormEstimate:
     provenance: str = "sampled"
 
     def __post_init__(self):
+        trusted(self.provenance)  # rejects an unknown provenance
         for v in (self.c1, self.c1_inv, self.c2):
-            if v < 0:
+            if not v >= 0:  # NaN fails it too
                 raise ValueError("seminorms must be nonnegative")
         if self.holder is not None:
             eps, val = self.holder
-            if not (0 < eps < 1) or val < 0:
+            if not (0 < eps < 1) or not val >= 0:
                 raise ValueError("holder must be (epsilon in (0,1), value >= 0)")
 
     @property
@@ -234,11 +246,12 @@ def jacobians(m, pts, step=None):
 
 def second_derivatives(m, pts, u, v):
     """D²_x f(u, v) at each row x of an (N, d) batch: the analytic ``second``
-    row by row, else differences along v of J·u, with J analytic (step
-    STEP1) or itself differenced along u (both steps STEP2)."""
+    row by row, with the output checks of ``images``, else differences along
+    v of J·u, with J analytic (step STEP1) or itself differenced along u
+    (both steps STEP2)."""
     pts = _as_batch(m, pts, None)
     if m.second is not None:
-        return np.array([m.second(x, u, v) for x in pts], dtype=float)
+        return _call(pts, None, lambda x: m.second(x, u, v), (m.dim,), "second derivatives", None)
     if m.jacobian is not None:
         return _differences(lambda p: jacobians(m, p) @ u, pts, v, _steps(pts, STEP1), m.region)
     h = _steps(pts, STEP2)
@@ -359,7 +372,7 @@ def estimate_seminorms(m, region, resolution, epsilon=None):
     A singular Jacobian anywhere on the grid makes ``c1_inv`` infinite.  The
     Hölder quotient strides over at most HOLDER_PAIR_LIMIT grid-point pairs.
     """
-    if m.seminorms is not None and m.seminorms.provenance == "analytic":
+    if m.seminorms is not None and trusted(m.seminorms.provenance):
         est = m.seminorms
         if epsilon is not None and (est.holder is None or est.holder[0] != epsilon):
             raise HypothesisViolationError(

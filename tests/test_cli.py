@@ -305,6 +305,25 @@ def test_interval_without_hi_names_the_field(tmp_path, capsys):
     assert "[interval] missing field 'hi'" in capsys.readouterr().err
 
 
+INLINE_CURVES = {
+    "segment": "[curve]\ntype = segment\np0 = 0 0\np1 = 1 0.5\n",
+    "circle-arc": "[curve]\ntype = circle-arc\nradius = 2\nt1 = 1\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(INLINE_CURVES))
+def test_an_inline_curve_runs_end_to_end(tmp_path, shape):
+    cfg = tmp_path / "curve.cfg"
+    cfg.write_text(INLINE_CURVE + INLINE_CURVES[shape])
+    assert run_cli("check", str(cfg)) == EXIT_HOLDS
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    for d in (d1, d2):  # the budget states C only, so L and alpha are sampled
+        assert run_cli("run", str(cfg), "--output-dir", str(d)) == EXIT_UNVERIFIED
+    assert float(json.loads((d1 / "report.json").read_text())["measured"]["sum_L"]) > 0
+    for name in ("report.json", "steps.csv", "logratio.csv"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
 SUBS = "[subintervals]\nsub1 = 0 0.5\nsub2 = 0.5 1\n"
 ONE_D_BODY = ONE_D_MAP + INTERVAL
 ROTATIONS = "[scenario]\nfamily = planar-rotations\nn = 2\n"
@@ -381,14 +400,14 @@ UNREAD = {  # config text, what stderr must name
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNREAD))
-def test_a_key_or_section_nothing_reads_fails_check_and_run(tmp_path, monkeypatch, capsys, case):
-    text, named = UNREAD[case]
-    cfg = tmp_path / "unread.cfg"
+def _fails_check_and_run_naming(tmp_path, monkeypatch, capsys, text, named):
+    """The config ``text`` makes check and run exit 3 before any engine runs,
+    and each names ``named`` on stderr."""
+    cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("the engine ran on a config with an unread key or section")
+        raise AssertionError("the engine ran on a config that check rejects")
 
     for name in DISTORTION_ENGINES:
         monkeypatch.setattr(distortion, name, must_not_run)
@@ -396,6 +415,55 @@ def test_a_key_or_section_nothing_reads_fails_check_and_run(tmp_path, monkeypatc
     assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
     assert capsys.readouterr().err.count(named) == 2
     assert not any(tmp_path.glob("*report.json"))
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_a_key_or_section_nothing_reads_fails_check_and_run(tmp_path, monkeypatch, capsys, case):
+    _fails_check_and_run_naming(tmp_path, monkeypatch, capsys, *UNREAD[case])
+
+
+ROTATIONS_MAIN = (CONFIGS / "rotations_main.cfg").read_text()
+VIOLATED_BUDGET = (CONFIGS / "violated_budget.cfg").read_text()
+BAD_VALUES = {  # config text, what stderr must name
+    "nan-angle": (ROTATIONS_MAIN.replace("angle = 0.1", "angle = nan"), "[scenario] angle"),
+    "inf-length": (ROTATIONS_MAIN.replace("angle = 0.1", "length = inf"), "[scenario] length"),
+    "nan-box-half-width": (
+        (CONFIGS / "tracemap.cfg").read_text() + "box_half_width = nan\n", "[scenario] box_half_width"
+    ),
+    "nan-subinterval": (
+        ONE_D_HEAD.replace("thm-2.1", "thm-2.2") + INTERVAL + SUBS.replace("0 0.5", "nan 0.5"),
+        "[subintervals] sub1",
+    ),
+    "nan-radius": (INLINE_CURVE + "[curve]\ntype = circle-arc\nradius = nan\n", "[curve] radius"),
+    "nan-coefficient": (ONE_D_HEAD + "[map.1]\ncomp0 = nan 1\n" + INTERVAL, "[map.1] comp0"),
+    "inf-constant-term": (ONE_D_HEAD + "[map.1]\ncomp0 = 0.5 1; inf 0\n" + INTERVAL, "[map.1] comp0"),
+    "fractional-exponent": (ONE_D_HEAD + "[map.1]\ncomp0 = 0.5 1.5\n" + INTERVAL, "[map.1] comp0"),
+    "fractional-samples": (
+        ROTATIONS_MAIN.replace("samples = 128", "samples = 2.5"), "[experiment] samples"
+    ),
+    "fractional-n": (ROTATIONS_MAIN.replace("n = 5", "n = 2.5"), "[scenario] n"),
+    "misspelled-provenance": (VIOLATED_BUDGET.replace("= analytic", "= analytc"), "'analytc'"),
+    "provenance-without-a-constant": (
+        ROTATIONS_MAIN + "[budget]\nprovenance = sampled\n", "[budget] provenance"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_a_bad_value_fails_check_and_run_naming_its_key(tmp_path, monkeypatch, capsys, case):
+    _fails_check_and_run_naming(tmp_path, monkeypatch, capsys, *BAD_VALUES[case])
+
+
+def test_integral_floats_are_integers_and_integer_literals_are_exact(tmp_path):
+    cfg = tmp_path / "integers.cfg"
+    cfg.write_text(
+        "[experiment]\nengine = thm-2.1\nsamples = 20.0\nseed = 9007199254740993\n"
+        "[scenario]\nfamily = 1d-quadratic-contraction\nn = 4.0\n"
+    )
+    assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_HOLDS
+    report = json.loads((tmp_path / "report.json").read_text())
+    read = [report["samples"], report["seed"], report["measured"]["n"]]
+    assert read == [20, 2**53 + 1, 4] and all(type(v) is int for v in read)
 
 
 @pytest.mark.parametrize("resolution", ["9", "9.0"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -49,6 +50,21 @@ def test_a_nan_budget_constant_is_rejected(field):
     # NaN compares false with everything, so it would pass a `v < 0` test
     with pytest.raises(ValueError, match="nonnegative"):
         HypothesisBudget(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field", ["c_prov", "l_prov", "a_prov"])
+def test_an_unknown_provenance_is_rejected(field):
+    # a misspelling must not read as an untrusted constant
+    with pytest.raises(ValueError, match="provenance"):
+        HypothesisBudget(**{field: "analytc"})
+
+
+def test_a_one_d_verdict_ignores_a_stated_alpha():
+    # e^{CL} reads no α, so a sampled one must not cap the verdict
+    budget = dataclasses.replace(QUAD_BUDGET, alpha=0.3, epsilon=0.5, a_prov="sampled")
+    rep = run_1d(quad_seq(5), (0.0, 1.0), 100, budget)
+    assert rep.budget == QUAD_BUDGET
+    assert rep.verdict == BOUND_HOLDS
 
 
 def test_affine_sequence_zero_log_ratio():

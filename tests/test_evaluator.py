@@ -26,6 +26,7 @@ from bdp import (
     quadratic_1d,
     rotation_map,
     run_1d,
+    second_derivatives,
 )
 from bdp.errors import DimensionMismatchError, HypothesisViolationError, OutOfRegionError
 from bdp.maps import STEP1, _direction_pairs, advance
@@ -178,6 +179,25 @@ def test_derived_one_point_callbacks_follow_a_replaced_batch_callback():
     assert np.array_equal(doubled.jacobian(x), m.jacobian(x))
     with pytest.raises(ValueError):
         SmoothMap(dim=1)
+
+
+def test_an_analytic_second_derivative_gets_the_output_checks():
+    def with_second(second):
+        return SmoothMap(
+            dim=1,
+            func=lambda x: 0.5 * x + 0.1 * x**2,
+            jacobian=lambda x: np.array([[0.5 + 0.2 * x[0]]]),
+            second=second,
+        )
+
+    nan_second = with_second(lambda x, u, v: np.array([np.nan]))
+    with pytest.raises(HypothesisViolationError):  # not a sampled C of max(0.0, nan) = 0.0
+        run_1d(MapSequence((nan_second,)), (0.0, 1.0), 20, HypothesisBudget())
+    with pytest.raises(HypothesisViolationError):
+        estimate_seminorms(nan_second, Box([0.0], [1.0]), 5)
+    wide = with_second(lambda x, u, v: np.array([0.2, 7.0]))
+    with pytest.raises(DimensionMismatchError):  # not read as its first value
+        second_derivatives(wide, np.zeros((3, 1)), np.ones(1), np.ones(1))
 
 
 def test_stacked_seminorms_equal_the_per_point_maxima():

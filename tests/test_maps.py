@@ -4,6 +4,7 @@ import pytest
 from bdp import (
     Box,
     MapSequence,
+    SeminormEstimate,
     SmoothMap,
     apply_sequence,
     estimate_seminorms,
@@ -138,6 +139,16 @@ def test_seminorms_analytic_annotation_returned():
     assert est.c1 == pytest.approx(0.75)
     assert est.c1_inv == pytest.approx(2.0)
     assert est.c2 == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"c2": np.nan}, {"c1_inv": np.nan}, {"holder": (0.5, np.nan)}, {"provenance": "analytc"}],
+    ids=["nan-c2", "nan-c1-inv", "nan-holder", "misspelled-provenance"],
+)
+def test_a_seminorm_estimate_rejects_nan_and_an_unknown_provenance(bad):
+    with pytest.raises(ValueError):
+        SeminormEstimate(**{"c1": 1.0, "c1_inv": 1.0, "c2": 1.0, **bad})
 
 
 def test_sampled_seminorms_below_analytic():

@@ -165,8 +165,10 @@ def parse_config(path, samples=None, resolution=None, seed=None):
         seq, domain = _inline(parser, maps, engine.kind)
         budget = HypothesisBudget()
 
-    bud = _read(parser, "budget", (), [key for key, _, _ in BUDGET_FIELDS] + ["epsilon", "provenance"])
-    if "provenance" in bud and not any(key in bud for key, _, _ in BUDGET_FIELDS):
+    # every engine reads c and l, the curve engines alpha too, and only holder reads epsilon
+    constants = ["c", "l", "alpha"] if engine.kind == "curve" else ["c", "l"]
+    bud = _read(parser, "budget", (), constants + ["epsilon"] * (name == "holder") + ["provenance"])
+    if "provenance" in bud and not any(key in bud for key in constants):
         raise ConfigError("[budget] provenance applies to c, l or alpha, and none is given")
     prov = bud.pop("provenance", "analytic")
     changes = {"epsilon": _number(bud, "epsilon", "budget")} if "epsilon" in bud else {}
@@ -196,13 +198,22 @@ def parse_config(path, samples=None, resolution=None, seed=None):
 
 
 def _inline(parser, map_sections, kind):
-    """(seq, domain) of the inline [map.N] sections, whose keys comp0 ...
-    comp{d-1} are polynomial coefficient tables ("coef e1 ... ed" monomials,
-    ';'-separated), and an [interval] (1D engines) or [curve] section."""
+    """(seq, domain) of the inline [map.N] sections, in the order of their
+    distinct integers N, whose keys comp0 ... comp{d-1} are polynomial
+    coefficient tables ("coef e1 ... ed" monomials, ';'-separated), and an
+    [interval] (1D engines) or [curve] section."""
     if not map_sections:
         raise ConfigError("config needs a [scenario] section or inline [map.*] sections")
+    numbered = {}
+    for section in map_sections:
+        try:
+            number = int(section.split(".", 1)[1])
+        except ValueError:
+            raise ConfigError(f"[{section}]: a map section is [map.N], N an integer") from None
+        if numbered.setdefault(number, section) != section:
+            raise ConfigError(f"[{section}] and [{numbered[number]}] are both map {number}")
     maps = []
-    for section in sorted(map_sections, key=lambda s: int(s.split(".", 1)[1])):
+    for _, section in sorted(numbered.items()):
         keys = [f"comp{i}" for i in range(len(parser[section]))]
         table = _read(parser, section, keys)
         comps = []

@@ -415,9 +415,9 @@ def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
     gamma0 = check_curve(seq, gamma0, samples, resolution, budget, (sub1, sub2))
     base = run_curve(seq, gamma0, samples, resolution, budget)
 
-    # both subcurves' nodes in one batch; plain Simpson on each half
-    ts1, h1 = _simpson_nodes(sub1[0], sub1[1], resolution)
-    ts2, h2 = _simpson_nodes(sub2[0], sub2[1], resolution)
+    # both subcurves' nodes in one batch, each from its lower end; plain Simpson on each half
+    ts1, h1 = _simpson_nodes(*sorted(sub1), resolution)
+    ts2, h2 = _simpson_nodes(*sorted(sub2), resolution)
     nodes = np.concatenate([ts1, ts2])
     pts = np.array([gamma0.pos(t) for t in nodes])
     tans = np.array([gamma0.tan(t) for t in nodes])

@@ -417,60 +417,43 @@ def polynomial_map(components, region=None, name="polynomial"):
 
     ``components`` is a list of d monomial lists, one per output component;
     each monomial is ``(coef, exponents)`` with ``exponents`` a length-d tuple
-    of nonnegative integers.  Analytic first and second derivatives are
-    attached.
+    of nonnegative integers.  They become one exponent table, evaluated on
+    whole batches, whose first and second partials are derived once.
     """
     dim = len(components)
-    comps = []
-    for terms in components:
-        parsed = []
+    outs, expos, coefs = [], [], []
+    for r, terms in enumerate(components):
         for coef, expo in terms:
             expo = tuple(int(e) for e in expo)
             if len(expo) != dim or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo} for dimension {dim}")
-            parsed.append((float(coef), expo))
-        comps.append(parsed)
-
-    def _mono(x, coef, expo):
-        out = coef
-        for xi, e in zip(x, expo):
-            out *= xi**e
-        return out
-
-    def func(x):
-        return np.array([sum(_mono(x, c, e) for c, e in terms) for terms in comps])
-
-    def _d_mono(coef, expo, i):
-        if expo[i] == 0:
-            return 0.0, expo
-        new = list(expo)
-        new[i] -= 1
-        return coef * expo[i], tuple(new)
-
-    # the nonzero first partials (r, i, coef, expo) and second partials
-    # (r, i, j, coef, expo), differentiated once, in the order they are summed
-    d1 = [
-        (r, i, *_d_mono(coef, expo, i))
-        for r, terms in enumerate(comps)
-        for coef, expo in terms
-        for i in range(dim)
-    ]
-    d1 = [t for t in d1 if t[2]]
-    d2 = [(r, i, j, *_d_mono(dc, de, j)) for r, i, dc, de in d1 for j in range(dim)]
-    d2 = [t for t in d2 if t[3]]
-
-    def jacobian(x):
-        jac = np.zeros((dim, dim))
-        for r, i, coef, expo in d1:
-            jac[r, i] += _mono(x, coef, expo)
-        return jac
-
-    def second(x, u, v):
-        out = np.zeros(dim)
-        for r, i, j, coef, expo in d2:
-            out[r] += _mono(x, coef, expo) * u[i] * v[j]
-        return out
-
+            outs.append(r)
+            expos.append(expo)
+            coefs.append(float(coef))
+    table = (np.array(expos, int).reshape(-1, dim), np.array(coefs), np.eye(dim)[outs], (dim,))
+    first = _partials(table)
+    hessians = partial(_table_values, _partials(first))
+    second = lambda x, u, v: np.einsum("rij,i,j->r", _one_row(hessians, x), u, v)  # noqa: E731
+    values, jacobian = partial(_table_values, table), partial(_table_values, first)
     return SmoothMap(
-        dim=dim, func=func, jacobian=jacobian, second=second, region=region, name=name
+        dim, second=second, region=region, name=name, func_batch=values, jacobian_batch=jacobian
     )
+
+
+def _partials(table):
+    """The partials of a monomial table (exponents, coefficients, a one-hot row
+    of outputs per term, output shape) as one table: by ∂ᵢ(c·xᵉ) = eᵢ·c·x^(e−1ᵢ)
+    a term of output k gives one of output (k, i); zero terms (eᵢ = 0) are dropped."""
+    expo, coef, gather, shape = table
+    d = expo.shape[1]
+    coefs = (coef[:, None] * expo).ravel()
+    expos = (expo[:, None, :] - np.eye(d, dtype=int)).reshape(-1, d)
+    gathers = np.kron(gather, np.eye(d))
+    keep = coefs != 0
+    return expos[keep], coefs[keep], gathers[keep], (*shape, d)
+
+
+def _table_values(table, pts):
+    """Each output's sum of the table's terms at each row of ``pts``: (N, *shape)."""
+    expo, coef, gather, shape = table
+    return ((coef * np.prod(pts[:, None, :] ** expo, axis=2)) @ gather).reshape(len(pts), *shape)

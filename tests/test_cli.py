@@ -397,6 +397,22 @@ UNREAD = {  # config text, what stderr must name
     "interval-and-curve": (
         ONE_D_HEAD + INTERVAL + "[curve]\ntype = segment\np0 = 0\np1 = 1\n", "[curve]"
     ),
+    "epsilon-on-main-thm": (
+        (CONFIGS / "rotations_main.cfg").read_text() + "[budget]\nepsilon = 0.5\n",
+        "unknown key 'epsilon'",
+    ),
+    "alpha-on-thm-2.1": (
+        (CONFIGS / "quadratic_thm21.cfg").read_text() + "[budget]\nalpha = 0.3\n",
+        "unknown key 'alpha'",
+    ),
+    "epsilon-on-thm-2.1": (
+        (CONFIGS / "quadratic_thm21.cfg").read_text() + "[budget]\nepsilon = 0.2\n",
+        "unknown key 'epsilon'",
+    ),
+    "map-section-x": (ONE_D_HEAD + "[map.x]\ncomp0 = 0.5 1\n" + INTERVAL, "[map.x]"),
+    "map-1-and-01": (
+        ONE_D_HEAD + "[map.1]\ncomp0 = 0.5 1\n[map.01]\ncomp0 = 0.5 1\n" + INTERVAL, "[map.01]"
+    ),
 }
 
 

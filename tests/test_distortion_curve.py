@@ -189,6 +189,21 @@ def test_arc_ratio_identical_subintervals():
     assert rep.extras["ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "reversed_subs", [(True, False), (False, True), (True, True)], ids=["sub1", "sub2", "both"]
+)
+def test_arc_ratio_reversed_subintervals_give_the_forward_result(reversed_subs):
+    seq, gamma0, budget = build_sequence(ScenarioSpec("planar-rotations", n=3))
+    a, b = gamma0.domain
+    forward = ((a, (a + b) / 2), ((a + b) / 2, b))
+    subs = [sub[::-1] if rev else sub for sub, rev in zip(forward, reversed_subs)]
+    rep = arc_ratio_curve(seq, gamma0, *subs, 40, 64, budget)
+    ref = arc_ratio_curve(seq, gamma0, *forward, 40, 64, budget)
+    assert rep.extras["ratio"] == ref.extras["ratio"]
+    assert rep.extras["arc_lengths"] == ref.extras["arc_lengths"]
+    assert (rep.verdict, rep.empirical) == (ref.verdict, ref.empirical)
+
+
 def test_arc_ratio_rejects_degenerate():
     seq, gamma0, budget = build_sequence(ScenarioSpec("planar-contraction-shear", n=3, seed=2))
     a, b = gamma0.domain

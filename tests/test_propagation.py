@@ -7,15 +7,19 @@ import pytest
 
 from bdp import (
     Box,
+    HypothesisBudget,
     MapSequence,
     ScenarioSpec,
     SmoothMap,
     arc_ratio_curve,
     build_sequence,
     interval_ratio_1d,
+    polynomial_map,
+    reparameterize_natural,
     run_1d,
     run_curve,
     run_curve_holder,
+    segment,
 )
 from bdp.errors import HypothesisViolationError, OutOfRegionError
 from bdp.maps import advance
@@ -47,22 +51,62 @@ def _curve(engine, seq, gamma0, budget):
     return engine(seq, gamma0, 20, 32, budget)
 
 
-@pytest.mark.parametrize(
-    "engine, walks",
-    [(run_curve, 1), (run_curve_holder, 1), (arc_ratio_curve, 2)],
-)
-def test_curve_engines_walk_the_orbit_once_per_batch(engine, walks):
+def _shear():
     spec = ScenarioSpec("planar-contraction-shear", n=4, seed=3, params={"epsilon": 0.5})
-    seq, gamma0, budget = build_sequence(spec)
+    return build_sequence(spec)
+
+
+def _inline_planar():
+    """Inline planar polynomial tables on a segment, with a stated C."""
+    maps = tuple(
+        polynomial_map([[(0.6, (1, 0)), (0.05 * k, (0, 2))], [(0.5, (0, 1)), (0.04, (1, 1))]])
+        for k in range(4)
+    )
+    gamma0 = reparameterize_natural(segment([0.0, 0.0], [1.0, 0.5]), 64)
+    return MapSequence(maps), gamma0, HypothesisBudget(C=1.0, epsilon=0.5)
+
+
+@pytest.mark.parametrize(
+    "engine, walks, inputs",
+    [
+        pytest.param(run_curve, 1, _shear, id="run_curve-1"),
+        pytest.param(run_curve_holder, 1, _shear, id="run_curve_holder-1"),
+        pytest.param(arc_ratio_curve, 2, _shear, id="arc_ratio_curve-2"),
+        pytest.param(run_curve, 1, _inline_planar, id="run_curve-1-inline"),
+        pytest.param(run_curve_holder, 1, _inline_planar, id="run_curve_holder-1-inline"),
+        pytest.param(arc_ratio_curve, 2, _inline_planar, id="arc_ratio_curve-2-inline"),
+    ],
+)
+def test_curve_engines_walk_the_orbit_once_per_batch(engine, walks, inputs):
+    seq, gamma0, budget = inputs()
     counted, calls = _counted(seq)
     rep = _curve(engine, counted, gamma0, budget)
     assert calls == {"func_batch": walks * len(seq), "jacobian_batch": walks * len(seq)}
     assert rep.empirical == _curve(engine, seq, gamma0, budget).empirical
 
 
-@pytest.mark.parametrize("ratio, walks", [(False, 1), (True, 2)])
-def test_1d_engines_walk_the_orbit_once_per_batch(ratio, walks):
-    seq, interval, budget = build_sequence(ScenarioSpec("1d-quadratic-contraction", n=6))
+def _quadratic_1d():
+    return build_sequence(ScenarioSpec("1d-quadratic-contraction", n=6))
+
+
+def _inline_cubic():
+    """Inline tables a·x + b·x² + c·x³ on [0, 1], no stated constant."""
+    cubic = [(0.05, (2,)), (0.02, (3,))]
+    maps = tuple(polynomial_map([[(0.4 + 0.02 * k, (1,)), *cubic]]) for k in range(6))
+    return MapSequence(maps), (0.0, 1.0), HypothesisBudget()
+
+
+@pytest.mark.parametrize(
+    "ratio, walks, inputs",
+    [
+        pytest.param(False, 1, _quadratic_1d, id="False-1"),
+        pytest.param(True, 2, _quadratic_1d, id="True-2"),
+        pytest.param(False, 1, _inline_cubic, id="False-1-inline"),
+        pytest.param(True, 2, _inline_cubic, id="True-2-inline"),
+    ],
+)
+def test_1d_engines_walk_the_orbit_once_per_batch(ratio, walks, inputs):
+    seq, interval, budget = inputs()
     counted, calls = _counted(seq)
     if ratio:
         interval_ratio_1d(counted, interval, (0.0, 0.4), (0.4, 1.0), 50, budget)

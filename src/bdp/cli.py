@@ -151,6 +151,8 @@ def parse_config(path, samples=None, resolution=None, seed=None):
             raise ConfigError(
                 f"[scenario] family must be one of {sorted(scenarios.SCENARIOS)}, got {family!r}"
             )
+        if (kind := scenarios.SCENARIOS[family]["kind"]) != engine.kind:  # before the build
+            raise ConfigError(f"engine {name} needs a {engine.kind} scenario, got a {kind} scenario")
         sc = _read(parser, "scenario", ("family",), ("n", "seed", *scenarios.PARAMS[family]))
         del sc["family"]
         params = {key: _number(sc, key, "scenario", integral=key in ("n", "seed")) for key in sc}
@@ -158,9 +160,6 @@ def parse_config(path, samples=None, resolution=None, seed=None):
         spec_seed = params.pop("seed", settings["seed"])
         spec = scenarios.ScenarioSpec(family, n, spec_seed if seed is None else seed, params)
         seq, domain, budget = scenarios.build_sequence(spec)
-        kind = scenarios.SCENARIOS[family]["kind"]
-        if kind != engine.kind:
-            raise ConfigError(f"engine {name} needs a {engine.kind} scenario, got a {kind} scenario")
     else:
         seq, domain = _inline(parser, maps, engine.kind)
         budget = HypothesisBudget()

@@ -2,8 +2,10 @@
 against the explicit bounds e^{CL} (1D) and e^{C²(α+L)} (curves in ℝ^d).
 
 All ratio accumulation happens in log space; bound comparisons are made in
-log space so huge constants never overflow.  Every engine's verdict is made
-by ``_report``: a comparison that relies on any untrusted (sampled) constant
+log space so huge constants never overflow.  Every walk keeps its tangents in
+range by exact powers of two, so 10³-step runs work, and both ratio forms
+integrate pushed-tangent speeds.  Every engine's verdict is made by
+``_report``: a comparison that relies on any untrusted (sampled) constant
 can be at best "hypothesis-unverified", never "bound-violated", since sampled
 suprema are lower bounds.
 """
@@ -265,17 +267,43 @@ def run_1d(seq, interval, samples, budget):
 
 
 def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
-    """Interval-image ratio form: |F_n(b1)−F_n(a1)| / |F_n(b2)−F_n(a2)| against
-    the sandwich r·K^{∓1} with K = (e^{CL})²."""
+    """Interval-image ratio form: the lengths ∫|F_n'| of F_n(sub1) and F_n(sub2)
+    against the sandwich r·K^{∓1} with K = (e^{CL})²."""
     check_1d(seq, interval, samples, (sub1, sub2))
     base = run_1d(seq, interval, samples, budget)
+    gaps, ratio = _image_lengths(seq, (sub1, sub2), samples)
+    return _ratio_report(base, ratio, sub1, sub2, {"image_gaps": gaps})
 
-    ends = np.array([[sub1[0]], [sub1[1]], [sub2[0]], [sub2[1]]])
-    for j, m in enumerate(seq, start=1):
-        _, ends, _ = advance(m, ends, step=j)
-    num = abs(float(ends[1, 0] - ends[0, 0]))
-    den = abs(float(ends[3, 0] - ends[2, 0]))
-    return _ratio_report(base, num / den, sub1, sub2, {"image_gaps": (num, den)})
+
+def _rescaled(tans, scale, step):
+    """(tans, norms, scale) for ``tans``, the true tangents times 2^scale: the row
+    norms, taken once; past [2^-256, 2^256] for the largest, all rows get one
+    power of two and ``scale`` follows.  A zero or non-finite norm raises."""
+    norms = np.linalg.norm(tans, axis=1)
+    lo, hi = norms.min(), norms.max()
+    if not (lo > 0 and hi < np.inf):  # a NaN fails both
+        raise HypothesisViolationError("tangent vanished or is not finite", step=step)
+    top = math.frexp(hi)[1]
+    if abs(top) > 256:
+        tans, norms, scale = np.ldexp(tans, -top), np.ldexp(norms, -top), scale - top
+    return tans, norms, scale
+
+
+def _image_lengths(seq, subs, nodes, curve=None):
+    """((len1, len2), len1 / len2): the lengths of F_n over ``subs`` of the line
+    or of ``curve``, plain Simpson of the pushed tangents' speeds on ``nodes``
+    intervals each; the ratio is taken before the scale is applied back."""
+    grids = [_simpson_nodes(*sorted(sub), nodes) for sub in subs]  # each from its lower end
+    ts = np.concatenate([t for t, _ in grids])
+    pts = ts[:, None] if curve is None else np.array([curve.pos(t) for t in ts])
+    tans = np.ones((len(ts), 1)) if curve is None else np.array([curve.tan(t) for t in ts])
+    tans, norms, scale = _rescaled(tans, 0, step=0)
+    for i, m in enumerate(seq, start=1):
+        _, pts, tans = advance(m, pts, tans, step=i)
+        tans, norms, scale = _rescaled(tans, scale, step=i)
+    k = len(grids[0][0])
+    len1, len2 = _simpson(norms[:k], grids[0][1]), _simpson(norms[k:], grids[1][1])
+    return (math.ldexp(len1, -scale), math.ldexp(len2, -scale)), len1 / len2
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +356,7 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
     tans = np.array([gamma0.tan(t) for t in nodes])
     n_q = len(t_quad)
     angle_idx = _angle_subset(n_q)
+    tans, norms, scale = _rescaled(tans, 0, step=0)
 
     per_step = []
     sum_L = 0.0
@@ -335,21 +364,14 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
     quad_err = 0.0
     for i, m in enumerate(seq, start=1):
         w_q, w_s = tans[:n_q], tans[n_q:]
-        speeds = np.linalg.norm(w_q, axis=1)
-        if np.any(speeds <= 0):
-            raise HypothesisViolationError(
-                "image tangent vanished (singular Jacobian along curve)", step=i
-            )
-        l_i, err_i = simpson_richardson(speeds, h)
+        l_i, err_i = (math.ldexp(v, -scale) for v in simpson_richardson(norms[:n_q], h))
         alpha_i = max_angle_of_tangents(np.vstack([w_q[angle_idx], w_s]))
+        u_log = np.log(norms[n_q:])
 
         jac, pts, tans = advance(m, pts, tans, step=i)  # w_q, w_s still view the old tans
+        tans, norms, scale = _rescaled(tans, scale, step=i)
         cross = np.einsum("kab,lb->kla", jac[n_q:], w_s)
-        norms = np.linalg.norm(cross, axis=2)  # norms[k, l] = ||J(x_k) u_l||
-        if np.any(norms.diagonal() <= 0):
-            raise HypothesisViolationError("singular Jacobian at a sample point", step=i)
-        log_n = np.log(norms)
-        u_log = np.log(np.linalg.norm(w_s, axis=1))
+        log_n = np.log(np.linalg.norm(cross, axis=2))  # log_n[k, l] = log ||J(x_k) u_l||
         lhs1 = np.abs(log_n.diagonal()[:, None] - log_n)
         base = np.abs(u_log[:, None] - u_log[None, :])
         lhs2 = np.abs(log_n - log_n.diagonal()[None, :])
@@ -375,10 +397,7 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
 
     c2 = budget.C * budget.C
     _record_log_bounds(per_step, c2, eps)
-    final_norms = np.linalg.norm(tans[n_q:], axis=1)
-    if np.any(final_norms <= 0):
-        raise HypothesisViolationError("final tangent vanished", step=len(seq))
-    log_norms = np.log(final_norms)
+    log_norms = np.log(norms[n_q:])
     empirical = float(log_norms.max() - log_norms.min())
 
     trace = DistortionTrace(
@@ -388,7 +407,7 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
         sum_alpha=sum_alpha,
         sup_abs_log_ratio=empirical,
         sample_params=t_s,
-        sample_logs=log_norms,
+        sample_logs=log_norms - scale * math.log(2.0),
         quad_err=quad_err,
     )
     budget = _resolve(budget, L=sum_L, alpha=sum_alpha)
@@ -415,19 +434,9 @@ def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
     gamma0 = check_curve(seq, gamma0, samples, resolution, budget, (sub1, sub2))
     base = run_curve(seq, gamma0, samples, resolution, budget)
 
-    # both subcurves' nodes in one batch, each from its lower end; plain Simpson on each half
-    ts1, h1 = _simpson_nodes(*sorted(sub1), resolution)
-    ts2, h2 = _simpson_nodes(*sorted(sub2), resolution)
-    nodes = np.concatenate([ts1, ts2])
-    pts = np.array([gamma0.pos(t) for t in nodes])
-    tans = np.array([gamma0.tan(t) for t in nodes])
-    for i, m in enumerate(seq, start=1):
-        _, pts, tans = advance(m, pts, tans, step=i)
-    speeds = np.linalg.norm(tans, axis=1)
-    len1 = _simpson(speeds[: len(ts1)], h1)
-    len2 = _simpson(speeds[len(ts1) :], h2)
+    lengths, ratio = _image_lengths(seq, (sub1, sub2), resolution, gamma0)
     allowance = 2.0 * base.extras["quadrature_allowance"]
-    return _ratio_report(base, len1 / len2, sub1, sub2, {"arc_lengths": (len1, len2)}, allowance)
+    return _ratio_report(base, ratio, sub1, sub2, {"arc_lengths": lengths}, allowance)
 
 
 def _ratio_report(base, ratio, sub1, sub2, extras, allowance=0.0):

@@ -456,4 +456,5 @@ def _partials(table):
 def _table_values(table, pts):
     """Each output's sum of the table's terms at each row of ``pts``: (N, *shape)."""
     expo, coef, gather, shape = table
-    return ((coef * np.prod(pts[:, None, :] ** expo, axis=2)) @ gather).reshape(len(pts), *shape)
+    terms = coef * np.prod(pts[:, None, :] ** expo, axis=2)  # summed per row: batch-independent
+    return (terms[:, None, :] @ gather)[:, 0].reshape(len(pts), *shape)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdp import distortion
+from bdp import distortion, scenarios
 from bdp.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -49,6 +49,19 @@ def test_check_rejects_bad_engine(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[experiment]\nengine = warp-drive\n[scenario]\nfamily = planar-rotations\n")
     assert run_cli("check", str(bad)) == EXIT_CONFIG
+
+
+def test_a_scenario_of_the_wrong_kind_fails_before_it_is_built(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "wrong_kind.cfg"
+    cfg.write_text("[experiment]\nengine = thm-2.1\n[scenario]\nfamily = fibonacci-trace-map\n")
+
+    def must_not_build(spec):
+        raise AssertionError("the scenario was built before its kind was checked")
+
+    monkeypatch.setattr(scenarios, "build_sequence", must_not_build)
+    assert run_cli("check", str(cfg)) == EXIT_CONFIG
+    assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
+    assert "engine thm-2.1 needs a 1d scenario, got a curve scenario" in capsys.readouterr().err
 
 
 def test_list_scenarios(capsys):

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bdp import (
     HypothesisBudget,
@@ -11,6 +13,7 @@ from bdp import (
     SmoothMap,
     bound_1d,
     interval_ratio_1d,
+    polynomial_map,
     quadratic_1d,
     run_1d,
 )
@@ -155,6 +158,25 @@ def test_interval_ratio_affine_exact():
     seq = MapSequence((affine_1d(0.7, 0.1),) * 6)
     budget = HypothesisBudget(C=0.0, L=10.0, c_prov="analytic", l_prov="analytic")
     rep = interval_ratio_1d(seq, (0.0, 1.0), (0.1, 0.3), (0.5, 0.9), 50, budget)
+    assert rep.extras["ratio"] == pytest.approx(rep.extras["r"], rel=1e-12)
+    assert rep.verdict == BOUND_HOLDS
+
+
+unit_point = st.floats(0.0, 1.0, allow_nan=False)
+subinterval = st.tuples(unit_point, unit_point).filter(lambda s: abs(s[1] - s[0]) >= 1e-3)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.floats(-0.95, 0.95).filter(lambda a: abs(a) >= 0.05), st.floats(-1.0, 1.0),
+       st.integers(1, 300), subinterval, subinterval)
+@example(0.4, 0.3, 2000, (0.0, 0.3), (0.3, 1.0))
+def test_interval_ratio_of_affine_contractions_is_r_for_any_n(a, c, n, sub1, sub2):
+    # F_n' is the constant aⁿ: both image lengths are exactly aⁿ times the
+    # preimage lengths, however close together the image endpoints fall
+    seq = MapSequence((polynomial_map([[(a, (1,)), (c, (0,))]]),) * n)
+    L = 1.0 / (1.0 - abs(a)) + 1.0  # Σ |a|^j over the images of [0, 1], with room
+    budget = HypothesisBudget(C=0.0, L=L, c_prov="analytic", l_prov="analytic")
+    rep = interval_ratio_1d(seq, (0.0, 1.0), sub1, sub2, 50, budget)
     assert rep.extras["ratio"] == pytest.approx(rep.extras["r"], rel=1e-12)
     assert rep.verdict == BOUND_HOLDS
 

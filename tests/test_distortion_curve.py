@@ -22,6 +22,7 @@ from bdp import (
     segment,
 )
 from bdp.distortion import BOUND_HOLDS, UNVERIFIED
+from bdp.errors import HypothesisViolationError
 from bdp.maps import SmoothMap
 
 
@@ -230,6 +231,39 @@ def test_n_independence_of_contraction_family():
     assert values[5] <= values[20] + 1e-12
     assert values[20] <= values[40] + 1e-12
     assert values[40] < 2.0
+
+
+@pytest.mark.parametrize("engine", ["run_curve", "run_curve_holder", "arc_ratio_curve"])
+def test_curve_engines_hold_over_a_thousand_shrinking_steps(engine):
+    # the tangents shrink about e^-0.85 per step, below the smallest double by
+    # step 900; kept in range by powers of two, they still give every verdict
+    spec = ScenarioSpec("planar-contraction-shear", n=1000, seed=7, params={"epsilon": 0.5})
+    seq, gamma0, budget = build_sequence(spec)
+    if engine == "arc_ratio_curve":
+        a, b = gamma0.domain
+        rep = arc_ratio_curve(seq, gamma0, (a, (a + b) / 2), ((a + b) / 2, b), 20, 16, budget)
+        assert math.isfinite(rep.extras["ratio"]) and rep.extras["ratio"] > 0
+    else:
+        rep = {"run_curve": run_curve, "run_curve_holder": run_curve_holder}[engine](
+            seq, gamma0, 20, 16, budget
+        )
+    assert rep.verdict == BOUND_HOLDS
+    assert np.all(np.isfinite(rep.trace.sample_logs)) and math.isfinite(rep.empirical)
+    assert first_lemma_violation(lemma_step_checks(rep.trace, budget.C)) is None
+
+
+@pytest.mark.parametrize("engine", ["run_curve", "run_curve_holder", "arc_ratio_curve"])
+def test_a_tangent_that_vanishes_names_its_step(engine):
+    # two rotations, then (x, y) ↦ (x, 0), which kills the vertical segment's tangents
+    flatten = polynomial_map([[(1.0, (1, 0))], [(0.0, (0, 0))]])
+    seq = MapSequence((rotation_map(0.0), rotation_map(0.0), flatten, rotation_map(0.0)))
+    gamma0 = reparameterize_natural(segment([0.0, 0.0], [0.0, 1.0]), 16)
+    budget = HypothesisBudget(C=0.0, epsilon=0.5, c_prov="analytic")
+    subs = ((0.0, 0.5), (0.5, 1.0)) if engine == "arc_ratio_curve" else ()
+    run = {"run_curve": run_curve, "run_curve_holder": run_curve_holder}.get(engine, arc_ratio_curve)
+    with pytest.raises(HypothesisViolationError, match="tangent vanished") as info:
+        run(seq, gamma0, *subs, 10, 16, budget)
+    assert info.value.step == 3
 
 
 def _arrays(obj, seen=None):

@@ -75,12 +75,27 @@ def test_single_points_are_the_rows_of_a_batch(m, data):
     v = np.array(data.draw(st.lists(coords, min_size=m.dim, max_size=m.dim)))
     values, jacs = images(m, pts), jacobians(m, pts)
     assert values.shape == pts.shape and jacs.shape == (len(pts), m.dim, m.dim)
+    # a polynomial table sums each row on its own: a point alone is its row, bit for bit
+    tol = {"rtol": 0, "atol": 0} if m.name == "polynomial" else {"rtol": 1e-13, "atol": 1e-15}
     for k, x in enumerate(pts):
-        np.testing.assert_allclose(m(x), values[k], rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(m.func(x), values[k], rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(jacobians(m, x)[0], jacs[k], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(m(x), values[k], **tol)
+        np.testing.assert_allclose(m.func(x), values[k], **tol)
+        np.testing.assert_allclose(jacobians(m, x)[0], jacs[k], **tol)
         deriv = push_jet1(m, x, v).deriv
-        np.testing.assert_allclose(deriv, jacs[k] @ v, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(deriv, jacs[k] @ v, **tol)
+
+
+def test_a_polynomial_table_row_does_not_depend_on_its_batch():
+    # seeded uniform draws: hypothesis favours short binary fractions, whose sums are exact
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        dim = int(rng.integers(1, 4))
+        monomials = lambda: [(rng.uniform(-2, 2), tuple(rng.integers(0, 4, dim))) for _ in range(4)]  # noqa: E731
+        m = polynomial_map([monomials() for _ in range(dim)])
+        pts = rng.uniform(-1.0, 1.0, (7, dim))
+        values, jacs = images(m, pts), jacobians(m, pts)
+        for k, x in enumerate(pts):
+            assert np.array_equal(m.func(x), values[k]) and np.array_equal(m.jacobian(x), jacs[k])
 
 
 def _blowup_map(dim, bad, batch):

@@ -4,10 +4,10 @@ against the explicit bounds e^{CL} (1D) and e^{C²(α+L)} (curves in ℝ^d).
 All ratio accumulation happens in log space; bound comparisons are made in
 log space so huge constants never overflow.  Every walk keeps its tangents in
 range by exact powers of two, so 10³-step runs work, and both ratio forms
-integrate pushed-tangent speeds.  Every engine's verdict is made by
-``_report``: a comparison that relies on any untrusted (sampled) constant
-can be at best "hypothesis-unverified", never "bound-violated", since sampled
-suprema are lower bounds.
+integrate pushed-tangent speeds within their base run's one walk.  Every
+engine's verdict is made by ``_report``: a comparison that relies on any
+untrusted (sampled) constant can be at best "hypothesis-unverified", never
+"bound-violated", since sampled suprema are lower bounds.
 """
 
 import math
@@ -27,7 +27,7 @@ UNVERIFIED = "hypothesis-unverified"
 
 #: absolute reporting tolerance in log space; quadrature allowances are added
 REPORT_TOL = 1e-9
-#: how far a subinterval end may lie outside its interval or curve domain
+#: how far a subinterval end may lie outside a curve's computed natural domain
 SUBINTERVAL_TOL = 1e-9
 
 
@@ -181,21 +181,21 @@ def _record_log_bounds(per_step, coef, eps=1.0):
         rec.log_bound = cumulative
 
 
-def _check_subintervals(domain, subs):
+def _check_subintervals(domain, subs, tol=SUBINTERVAL_TOL):
     """Raise ``ValueError`` unless every (lo, hi) in ``subs`` is nondegenerate
-    and lies in ``domain`` = (a, b), up to SUBINTERVAL_TOL."""
+    and lies in ``domain`` = (a, b), up to ``tol``."""
     a, b = float(domain[0]), float(domain[1])
     for sub in subs:
         if abs(sub[1] - sub[0]) < 1e-12:
             raise ValueError(f"degenerate subinterval {sub}")
-        if min(sub) < a - SUBINTERVAL_TOL or max(sub) > b + SUBINTERVAL_TOL:
+        if min(sub) < a - tol or max(sub) > b + tol:
             raise ValueError(f"subinterval {sub} not inside ({a}, {b})")
 
 
 def check_1d(seq, interval, samples, subs=()):
     """The 1D engines' input rules: 1D maps, lo < hi, at least 2 samples and
-    every subinterval inside the interval.  Raises ``ValueError``; returns
-    (lo, hi) as floats."""
+    every subinterval inside [lo, hi] exactly, as the maps' region may end
+    there.  Raises ``ValueError``; returns (lo, hi) as floats."""
     if seq.dim != 1:
         raise ValueError("run_1d requires 1D maps")
     lo, hi = float(interval[0]), float(interval[1])
@@ -203,20 +203,25 @@ def check_1d(seq, interval, samples, subs=()):
         raise ValueError("degenerate initial interval")
     if int(samples) < 2:
         raise ValueError("run_1d needs at least 2 samples (both endpoints)")
-    _check_subintervals((lo, hi), subs)
+    _check_subintervals((lo, hi), subs, tol=0.0)
     return lo, hi
 
 
-def run_1d(seq, interval, samples, budget):
+def run_1d(seq, interval, samples, budget, subs=()):
     """Theorem engine for 1D compositions: sup |log(F_n'(x)/F_n'(y))| vs C·L.
 
     ``interval`` is (lo, hi); points are a deterministic grid of ``samples``
     points including both endpoints.  Derivative sign changes on the grid are
-    hypothesis violations (f' must not vanish).
+    hypothesis violations (f' must not vanish).  ``subs``, () or (sub1, sub2),
+    puts each one's Simpson nodes (``samples`` intervals) after the grid, with
+    tangents; the extras gain ``image_lengths`` (each ∫|F_n'|) and their ``ratio``.
     """
-    lo, hi = check_1d(seq, interval, samples)
+    lo, hi = check_1d(seq, interval, samples, subs)
     grid = np.linspace(lo, hi, int(samples))
-    pts = grid[:, None]
+    k = len(grid)
+    quads = [_simpson_nodes(*sorted(sub), samples) for sub in subs]  # each from its lower end
+    pts = np.concatenate([grid, *(t for t, _ in quads)])[:, None]
+    tans, norms, scale = np.ones((len(pts) - k, 1)), np.ones(len(pts) - k), 0  # subs' rows only
 
     log_sum = np.zeros(len(grid))
     per_step = []
@@ -225,17 +230,17 @@ def run_1d(seq, interval, samples, budget):
     need_c = budget.C is None
     for j, m in enumerate(seq, start=1):
         jac, image, _ = advance(m, pts, step=j)
-        deriv = jac[:, 0, 0]
+        deriv = jac[:k, 0, 0]
         if np.any(deriv == 0) or (np.any(deriv > 0) and np.any(deriv < 0)):
             raise HypothesisViolationError(
                 f"derivative vanishes or changes sign on step interval {j}", step=j
             )
         if need_c:  # sampled sup |f''| / |f'| over the grid's images
-            second = second_derivatives(m, pts, np.ones(1), np.ones(1))[:, 0]
+            second = second_derivatives(m, pts[:k], np.ones(1), np.ones(1))[:, 0]
             measured_C = max(measured_C, float(np.max(np.abs(second) / np.abs(deriv))))
         step_logs = np.log(np.abs(deriv))
         log_sum += step_logs
-        seg = abs(float(pts[-1, 0] - pts[0, 0]))  # the grid ends are lo and hi
+        seg = abs(float(pts[k - 1, 0] - pts[0, 0]))  # the grid ends are lo and hi
         sum_L += seg
         per_step.append(
             StepRecord(
@@ -246,6 +251,8 @@ def run_1d(seq, interval, samples, budget):
                 lemma2_increment=float(step_logs.max() - step_logs.min()),
             )
         )
+        if subs:  # 1D Jacobians are scalars
+            tans, norms, scale = _rescaled(jac[k:, 0] * tans, scale, step=j)
         pts = image
 
     empirical = float(log_sum.max() - log_sum.min())
@@ -263,16 +270,15 @@ def run_1d(seq, interval, samples, budget):
     budget = replace(budget, alpha=None, epsilon=None, a_prov="sampled")
     budget = _resolve(budget, C=measured_C, L=sum_L)
     _record_log_bounds(per_step, budget.C)
-    return _report(empirical, budget.C * budget.L, budget, trace)
+    extras = _image_extras(norms, quads, scale)
+    return _report(empirical, budget.C * budget.L, budget, trace, extras=extras)
 
 
 def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
     """Interval-image ratio form: the lengths ∫|F_n'| of F_n(sub1) and F_n(sub2)
     against the sandwich r·K^{∓1} with K = (e^{CL})²."""
-    check_1d(seq, interval, samples, (sub1, sub2))
-    base = run_1d(seq, interval, samples, budget)
-    gaps, ratio = _image_lengths(seq, (sub1, sub2), samples)
-    return _ratio_report(base, ratio, sub1, sub2, {"image_gaps": gaps})
+    base = run_1d(seq, interval, samples, budget, (sub1, sub2))
+    return _ratio_report(base, sub1, sub2, "image_gaps")
 
 
 def _rescaled(tans, scale, step):
@@ -289,21 +295,16 @@ def _rescaled(tans, scale, step):
     return tans, norms, scale
 
 
-def _image_lengths(seq, subs, nodes, curve=None):
-    """((len1, len2), len1 / len2): the lengths of F_n over ``subs`` of the line
-    or of ``curve``, plain Simpson of the pushed tangents' speeds on ``nodes``
-    intervals each; the ratio is taken before the scale is applied back."""
-    grids = [_simpson_nodes(*sorted(sub), nodes) for sub in subs]  # each from its lower end
-    ts = np.concatenate([t for t, _ in grids])
-    pts = ts[:, None] if curve is None else np.array([curve.pos(t) for t in ts])
-    tans = np.ones((len(ts), 1)) if curve is None else np.array([curve.tan(t) for t in ts])
-    tans, norms, scale = _rescaled(tans, 0, step=0)
-    for i, m in enumerate(seq, start=1):
-        _, pts, tans = advance(m, pts, tans, step=i)
-        tans, norms, scale = _rescaled(tans, scale, step=i)
-    k = len(grids[0][0])
-    len1, len2 = _simpson(norms[:k], grids[0][1]), _simpson(norms[k:], grids[1][1])
-    return (math.ldexp(len1, -scale), math.ldexp(len2, -scale)), len1 / len2
+def _image_extras(norms, quads, scale):
+    """The image lengths of the subintervals with Simpson nodes ``quads``
+    (none or a pair), plain Simpson of their pushed speeds ``norms`` times
+    2^scale, and their ratio, taken before the scale is applied back."""
+    if not quads:
+        return {}
+    (t1, h1), (_, h2) = quads
+    len1, len2 = _simpson(norms[: len(t1)], h1), _simpson(norms[len(t1) :], h2)
+    lengths = (math.ldexp(len1, -scale), math.ldexp(len2, -scale))
+    return {"image_lengths": lengths, "ratio": len1 / len2}
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +343,20 @@ def _argmax_pair(a):
     return float(a[k, l]), (int(k), int(l))
 
 
-def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
+def _curve_run(seq, gamma0, samples, resolution, budget, holder=False, subs=()):
     """The curve engines' walk and report: C²(α + L), with a quadrature
     allowance C²·(the summed length error estimates)."""
-    gamma0 = check_curve(seq, gamma0, samples, resolution, budget, holder=holder)
+    gamma0 = check_curve(seq, gamma0, samples, resolution, budget, subs, holder)
     eps = budget.epsilon if holder else 1.0  # x ** 1.0 == x
     a, b = gamma0.domain
     t_quad, h = _simpson_nodes(a, b, resolution)
+    quads = [_simpson_nodes(*sorted(sub), resolution) for sub in subs]  # each from its lower end
     t_s = np.linspace(a, b, int(samples))
-    # quadrature nodes first, then the S sample nodes: one batch per step
-    nodes = np.concatenate([t_quad, t_s])
+    # quadrature nodes first, then the subintervals', then the S samples: one batch per step
+    nodes = np.concatenate([t_quad, *(t for t, _ in quads), t_s])
     pts = np.array([gamma0.pos(t) for t in nodes])
     tans = np.array([gamma0.tan(t) for t in nodes])
-    n_q = len(t_quad)
+    n_q, n_0 = len(t_quad), len(nodes) - len(t_s)  # n_0: the first sample row
     angle_idx = _angle_subset(n_q)
     tans, norms, scale = _rescaled(tans, 0, step=0)
 
@@ -363,14 +365,14 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
     sum_alpha = 0.0
     quad_err = 0.0
     for i, m in enumerate(seq, start=1):
-        w_q, w_s = tans[:n_q], tans[n_q:]
+        w_q, w_s = tans[:n_q], tans[n_0:]
         l_i, err_i = (math.ldexp(v, -scale) for v in simpson_richardson(norms[:n_q], h))
         alpha_i = max_angle_of_tangents(np.vstack([w_q[angle_idx], w_s]))
-        u_log = np.log(norms[n_q:])
+        u_log = np.log(norms[n_0:])
 
         jac, pts, tans = advance(m, pts, tans, step=i)  # w_q, w_s still view the old tans
         tans, norms, scale = _rescaled(tans, scale, step=i)
-        cross = np.einsum("kab,lb->kla", jac[n_q:], w_s)
+        cross = np.einsum("kab,lb->kla", jac[n_0:], w_s)
         log_n = np.log(np.linalg.norm(cross, axis=2))  # log_n[k, l] = log ||J(x_k) u_l||
         lhs1 = np.abs(log_n.diagonal()[:, None] - log_n)
         base = np.abs(u_log[:, None] - u_log[None, :])
@@ -397,7 +399,7 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
 
     c2 = budget.C * budget.C
     _record_log_bounds(per_step, c2, eps)
-    log_norms = np.log(norms[n_q:])
+    log_norms = np.log(norms[n_0:])
     empirical = float(log_norms.max() - log_norms.min())
 
     trace = DistortionTrace(
@@ -414,12 +416,14 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False):
     allowance = c2 * quad_err
     extras = {"holder": True} if holder else {}
     extras["quadrature_allowance"] = allowance
+    extras.update(_image_extras(norms[n_q:n_0], quads, scale))
     return _report(empirical, c2 * (budget.alpha + budget.L), budget, trace, allowance, extras)
 
 
-def run_curve(seq, gamma0, samples, resolution, budget):
-    """Main curve engine: sup |log(‖u_n‖/‖v_n‖)| against C²(α + L)."""
-    return _curve_run(seq, gamma0, samples, resolution, budget)
+def run_curve(seq, gamma0, samples, resolution, budget, subs=()):
+    """Main curve engine: sup |log(‖u_n‖/‖v_n‖)| against C²(α + L).  ``subs`` as in
+    ``run_1d``, ``resolution`` intervals each, between the quadrature and sample rows."""
+    return _curve_run(seq, gamma0, samples, resolution, budget, subs=subs)
 
 
 def run_curve_holder(seq, gamma0, samples, resolution, budget):
@@ -431,21 +435,17 @@ def run_curve_holder(seq, gamma0, samples, resolution, budget):
 def arc_ratio_curve(seq, gamma0, sub1, sub2, samples, resolution, budget):
     """Arc-length ratio form: L(F_n∘γ0 over sub1) / L(... over sub2) inside the
     sandwich r·K^{∓1} with K = (e^{C²(α+L)})²."""
-    gamma0 = check_curve(seq, gamma0, samples, resolution, budget, (sub1, sub2))
-    base = run_curve(seq, gamma0, samples, resolution, budget)
-
-    lengths, ratio = _image_lengths(seq, (sub1, sub2), resolution, gamma0)
-    allowance = 2.0 * base.extras["quadrature_allowance"]
-    return _ratio_report(base, ratio, sub1, sub2, {"arc_lengths": lengths}, allowance)
+    base = run_curve(seq, gamma0, samples, resolution, budget, (sub1, sub2))
+    return _ratio_report(base, sub1, sub2, "arc_lengths", 2.0 * base.extras["quadrature_allowance"])
 
 
-def _ratio_report(base, ratio, sub1, sub2, extras, allowance=0.0):
-    """The ratio forms' sandwich r·K^{∓1}, K the base run's bound squared,
-    judged by the verdict rule on the base run's budget and trace."""
+def _ratio_report(base, sub1, sub2, lengths_key, allowance=0.0):
+    """The ratio forms' sandwich r·K^{∓1}, K the base run's bound squared, judged
+    by the verdict rule on the base run's budget, trace and image lengths."""
     r = abs(sub1[1] - sub1[0]) / abs(sub2[1] - sub2[0])
-    empirical = abs(math.log(ratio / r))
+    extras = {"ratio": base.extras["ratio"], "r": r, lengths_key: base.extras["image_lengths"]}
+    empirical = abs(math.log(extras["ratio"] / r))
     theo = 2.0 * base.theoretical_log_K
-    extras = {"ratio": ratio, "r": r, **extras}
     return _report(empirical, theo, base.budget, base.trace, allowance, extras)
 
 

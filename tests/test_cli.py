@@ -240,22 +240,30 @@ def test_parse_config_rejects_conflicting_sources(tmp_path):
 # ---------------------------------------------------------------------------
 # subintervals are checked against the interval or natural curve domain
 
+QUADRATIC_1D = "[scenario]\nfamily = 1d-quadratic-contraction\nn = 3\n"
 BAD_SUBINTERVALS = {
-    "thm-2.2": "[scenario]\nfamily = 1d-quadratic-contraction\nn = 3\n"
-    "[subintervals]\nsub1 = 0 0.4\nsub2 = 0.4 1.7\n",
+    "thm-2.2": ("thm-2.2", QUADRATIC_1D + "[subintervals]\nsub1 = 0 0.4\nsub2 = 0.4 1.7\n"),
+    # 1D subintervals are held to [0, 1] exactly: a Simpson node past it leaves the region
+    "thm-2.2-below-lo": (
+        "thm-2.2", QUADRATIC_1D + "[subintervals]\nsub1 = -5e-10 0.4\nsub2 = 0.4 1\n"
+    ),
+    "thm-2.2-above-hi": (
+        "thm-2.2", QUADRATIC_1D + "[subintervals]\nsub1 = 0 0.4\nsub2 = 0.4 1.0000000005\n"
+    ),
     # the quarter circle has natural domain [0, pi/2]
-    "nbdp": "[scenario]\nfamily = planar-contraction-shear\nn = 3\n"
-    "[subintervals]\nsub1 = 0 0.7\nsub2 = 0.7 2.0\n",
+    "nbdp": (
+        "nbdp",
+        "[scenario]\nfamily = planar-contraction-shear\nn = 3\n"
+        "[subintervals]\nsub1 = 0 0.7\nsub2 = 0.7 2.0\n",
+    ),
 }
 
 
-@pytest.mark.parametrize("engine", sorted(BAD_SUBINTERVALS))
-def test_subinterval_outside_the_domain_fails_check_and_run(tmp_path, engine):
+@pytest.mark.parametrize("case", sorted(BAD_SUBINTERVALS))
+def test_subinterval_outside_the_domain_fails_check_and_run(tmp_path, case):
+    engine, body = BAD_SUBINTERVALS[case]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(
-        f"[experiment]\nengine = {engine}\nsamples = 20\nresolution = 16\n"
-        + BAD_SUBINTERVALS[engine]
-    )
+    cfg.write_text(f"[experiment]\nengine = {engine}\nsamples = 20\nresolution = 16\n" + body)
     assert run_cli("check", str(cfg)) == EXIT_CONFIG
     assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_CONFIG
     assert not (tmp_path / "report.json").exists()

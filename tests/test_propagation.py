@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdp import (
     Box,
@@ -71,10 +73,10 @@ def _inline_planar():
     [
         pytest.param(run_curve, 1, _shear, id="run_curve-1"),
         pytest.param(run_curve_holder, 1, _shear, id="run_curve_holder-1"),
-        pytest.param(arc_ratio_curve, 2, _shear, id="arc_ratio_curve-2"),
+        pytest.param(arc_ratio_curve, 1, _shear, id="arc_ratio_curve-1"),
         pytest.param(run_curve, 1, _inline_planar, id="run_curve-1-inline"),
         pytest.param(run_curve_holder, 1, _inline_planar, id="run_curve_holder-1-inline"),
-        pytest.param(arc_ratio_curve, 2, _inline_planar, id="arc_ratio_curve-2-inline"),
+        pytest.param(arc_ratio_curve, 1, _inline_planar, id="arc_ratio_curve-1-inline"),
     ],
 )
 def test_curve_engines_walk_the_orbit_once_per_batch(engine, walks, inputs):
@@ -85,14 +87,14 @@ def test_curve_engines_walk_the_orbit_once_per_batch(engine, walks, inputs):
     assert rep.empirical == _curve(engine, seq, gamma0, budget).empirical
 
 
-def _quadratic_1d():
-    return build_sequence(ScenarioSpec("1d-quadratic-contraction", n=6))
+def _quadratic_1d(n=6):
+    return build_sequence(ScenarioSpec("1d-quadratic-contraction", n=n))
 
 
-def _inline_cubic():
+def _inline_cubic(n=6):
     """Inline tables a·x + b·x² + c·x³ on [0, 1], no stated constant."""
     cubic = [(0.05, (2,)), (0.02, (3,))]
-    maps = tuple(polynomial_map([[(0.4 + 0.02 * k, (1,)), *cubic]]) for k in range(6))
+    maps = tuple(polynomial_map([[(0.4 + 0.02 * (k % 6), (1,)), *cubic]]) for k in range(n))
     return MapSequence(maps), (0.0, 1.0), HypothesisBudget()
 
 
@@ -100,9 +102,9 @@ def _inline_cubic():
     "ratio, walks, inputs",
     [
         pytest.param(False, 1, _quadratic_1d, id="False-1"),
-        pytest.param(True, 2, _quadratic_1d, id="True-2"),
+        pytest.param(True, 1, _quadratic_1d, id="True-1"),
         pytest.param(False, 1, _inline_cubic, id="False-1-inline"),
-        pytest.param(True, 2, _inline_cubic, id="True-2-inline"),
+        pytest.param(True, 1, _inline_cubic, id="True-1-inline"),
     ],
 )
 def test_1d_engines_walk_the_orbit_once_per_batch(ratio, walks, inputs):
@@ -113,6 +115,45 @@ def test_1d_engines_walk_the_orbit_once_per_batch(ratio, walks, inputs):
     else:
         run_1d(counted, interval, 50, budget)
     assert calls == {"func_batch": walks * len(seq), "jacobian_batch": walks * len(seq)}
+
+
+def _subintervals(data, domain):
+    a, b = domain
+    point = st.floats(a, b, allow_nan=False)
+    sub = st.tuples(point, point).filter(lambda s: abs(s[1] - s[0]) >= 1e-3)
+    return data.draw(sub), data.draw(sub)
+
+
+def _assert_same_base_run(plain, with_subs):
+    """The subintervals' rows change nothing the base run reports."""
+    assert "ratio" not in plain.extras and "image_lengths" not in plain.extras
+    assert {key: with_subs.extras[key] for key in plain.extras} == plain.extras
+    for name in ("per_step", "sum_L", "sum_alpha", "sup_abs_log_ratio", "quad_err"):
+        assert getattr(with_subs.trace, name) == getattr(plain.trace, name)
+    assert np.array_equal(with_subs.trace.sample_logs, plain.trace.sample_logs)
+    assert (with_subs.empirical, with_subs.verdict) == (plain.empirical, plain.verdict)
+
+
+# n <= 60 keeps every tangent norm inside [2^-256, 2^256], so no rescale fires
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.sampled_from([1, 7]), st.integers(1, 60), st.data())
+def test_subinterval_nodes_leave_the_curve_run_untouched(seed, n, data):
+    spec = ScenarioSpec("planar-contraction-shear", n=n, seed=seed, params={"epsilon": 0.5})
+    seq, gamma0, budget = build_sequence(spec)
+    gamma0 = reparameterize_natural(gamma0, 32)
+    subs = _subintervals(data, gamma0.domain)
+    plain = run_curve(seq, gamma0, 20, 32, budget)
+    _assert_same_base_run(plain, run_curve(seq, gamma0, 20, 32, budget, subs))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.sampled_from([_quadratic_1d, _inline_cubic]), st.integers(1, 60), st.integers(2, 80),
+       st.data())
+def test_subinterval_nodes_leave_the_1d_run_untouched(inputs, n, samples, data):
+    seq, interval, budget = inputs(n)
+    subs = _subintervals(data, interval)
+    plain = run_1d(seq, interval, samples, budget)
+    _assert_same_base_run(plain, run_1d(seq, interval, samples, budget, subs))
 
 
 def _batch_map(func_batch, jacobian_batch, region=None):

@@ -41,8 +41,6 @@ ENGINES = {
 EXPERIMENT = {"samples": 200, "resolution": 256, "seed": 0}
 #: [output] keys, with the default names of the files a run writes
 OUTPUTS = {"report": "report.json", "table": "steps.csv", "plot": "logratio.csv"}
-# [budget] key -> HypothesisBudget field, provenance field; epsilon and provenance are read apart
-BUDGET_FIELDS = (("c", "C", "c_prov"), ("l", "L", "l_prov"), ("alpha", "alpha", "a_prov"))
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -157,8 +155,9 @@ def parse_config(path, samples=None, resolution=None, seed=None):
         del sc["family"]
         params = {key: _number(sc, key, "scenario", integral=key in ("n", "seed")) for key in sc}
         n = params.pop("n", scenarios.ScenarioSpec.n)
-        spec_seed = params.pop("seed", settings["seed"])
-        spec = scenarios.ScenarioSpec(family, n, spec_seed if seed is None else seed, params)
+        own_seed = params.pop("seed", settings["seed"])
+        settings["seed"] = own_seed if seed is None else seed  # the report gives the seed used
+        spec = scenarios.ScenarioSpec(family, n, settings["seed"], params)
         seq, domain, budget = scenarios.build_sequence(spec)
     else:
         seq, domain = _inline(parser, maps, engine.kind)
@@ -171,9 +170,9 @@ def parse_config(path, samples=None, resolution=None, seed=None):
         raise ConfigError("[budget] provenance applies to c, l or alpha, and none is given")
     prov = bud.pop("provenance", "analytic")
     changes = {"epsilon": _number(bud, "epsilon", "budget")} if "epsilon" in bud else {}
-    for key, field_name, prov_name in BUDGET_FIELDS:
-        if key in bud:
-            changes.update({field_name: _number(bud, key, "budget"), prov_name: prov})
+    for constant, prov_field in distortion.PROVENANCE_FIELDS.items():
+        if constant.lower() in bud:
+            changes.update({constant: _number(bud, constant.lower(), "budget"), prov_field: prov})
     budget = replace(budget, **changes)
 
     subs = ()
@@ -268,7 +267,7 @@ def _report_dict(cfg, report):
             "L": _fmt(budget.L),
             "alpha": _fmt(budget.alpha),
             "epsilon": _fmt(budget.epsilon),
-            "provenance": {"C": budget.c_prov, "L": budget.l_prov, "alpha": budget.a_prov},
+            "provenance": {c: getattr(budget, p) for c, p in distortion.PROVENANCE_FIELDS.items()},
         },
         "measured": {
             "n": report.trace.n,

@@ -7,17 +7,24 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RegularityError
-from .maps import images, jacobians
+from .maps import _row_norms, images, jacobians
 
 _EPS = np.finfo(float).eps
 #: the default grid size of ``length``, ``max_angle`` and ``reparameterize_natural``
 SAMPLE_RESOLUTION = 512
 
 
+def _at(t, f):
+    """The one-point callable ``f`` at ``t``: a (d,) row, or (N, d) rows for a 1-D array."""
+    rows = np.array([f(s) for s in np.atleast_1d(np.asarray(t, dtype=float))], dtype=float)
+    return rows if np.ndim(t) else rows[0]
+
+
 @dataclass(frozen=True)
 class ParamCurve:
     """A regular C¹ curve t ↦ γ(t) on [a, b] with tangent access.
 
+    ``pos`` and ``tan`` take one parameter or a 1-D array of them.
     Without an analytic ``tangent`` the tangent is taken by central finite
     differences of the position (one-sided at the endpoints).
     """
@@ -34,23 +41,20 @@ class ParamCurve:
         object.__setattr__(self, "domain", (float(a), float(b)))
 
     def pos(self, t):
-        return np.asarray(self.position(t), dtype=float)
+        return _at(t, self.position)
 
     def tan(self, t):
         if self.tangent is not None:
-            return np.asarray(self.tangent(t), dtype=float)
+            return _at(t, self.tangent)
         a, b = self.domain
         h = max(b - a, 1.0) * _EPS ** (1.0 / 3.0)
-        lo, hi = max(a, t - h), min(b, t + h)
-        return (self.pos(hi) - self.pos(lo)) / (hi - lo)
-
-    def params(self, resolution):
-        a, b = self.domain
-        return np.linspace(a, b, resolution + 1)
+        t = np.asarray(t, dtype=float)
+        lo, hi = np.maximum(a, t - h), np.minimum(b, t + h)
+        return (self.pos(hi) - self.pos(lo)) / (hi - lo)[..., None]
 
 
 def _speeds(curve, ts):
-    tans = np.array([curve.tan(t) for t in ts])
+    tans = curve.tan(ts)
     sp = np.linalg.norm(tans, axis=-1)
     if np.any(sp <= 0) or not np.all(np.isfinite(sp)):
         bad = ts[int(np.argmin(sp))]
@@ -101,7 +105,7 @@ def max_angle_of_tangents(tans):
 def max_angle(curve, resolution=None):
     """Maximal angle between tangents over a sample grid (lower bound of the sup)."""
     n = resolution or SAMPLE_RESOLUTION
-    tans, _ = _speeds(curve, curve.params(n))
+    tans, _ = _speeds(curve, np.linspace(*curve.domain, n + 1))
     return max_angle_of_tangents(tans)
 
 
@@ -112,7 +116,8 @@ class NaturalCurve:
     ``t_table``/``s_table`` map the original parameter to arc length; the
     natural domain is [0, total length].  The tangent is the normalized
     tangent of the underlying curve, hence unit speed up to the tolerance of
-    the table inversion.
+    the table inversion.  ``position`` and ``tangent`` interpolate one
+    parameter or a 1-D array of them in one call.
     """
 
     original: ParamCurve
@@ -131,15 +136,12 @@ class NaturalCurve:
     def total_length(self):
         return float(self.s_table[-1])
 
-    def _t_of(self, s):
-        return float(np.interp(s, self.s_table, self.t_table))
-
     def position(self, s):
-        return self.original.pos(self._t_of(s))
+        return self.original.pos(np.interp(s, self.s_table, self.t_table))
 
     def tangent(self, s):
-        tan = self.original.tan(self._t_of(s))
-        return tan / np.linalg.norm(tan)
+        tans = self.original.tan(np.interp(s, self.s_table, self.t_table))
+        return tans / _row_norms(tans)[..., None]
 
     pos = position
     tan = tangent
@@ -147,9 +149,6 @@ class NaturalCurve:
     def locate(self, t_original):
         """Arc-length parameter of the original parameter ``t_original``."""
         return float(np.interp(t_original, self.t_table, self.s_table))
-
-    def params(self, resolution):
-        return np.linspace(0.0, self.total_length, resolution + 1)
 
 
 def reparameterize_natural(curve, resolution=None):

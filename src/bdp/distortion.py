@@ -31,6 +31,10 @@ REPORT_TOL = 1e-9
 SUBINTERVAL_TOL = 1e-9
 
 
+#: each budget constant and its provenance field; a constant's [budget] key is its lower case
+PROVENANCE_FIELDS = {"C": "c_prov", "L": "l_prov", "alpha": "a_prov"}
+
+
 @dataclass(frozen=True)
 class HypothesisBudget:
     """The constants C, L, α (and optionally ε) with per-constant provenance.
@@ -48,9 +52,9 @@ class HypothesisBudget:
     a_prov: str = "sampled"
 
     def __post_init__(self):
-        for prov in (self.c_prov, self.l_prov, self.a_prov):
-            trusted(prov)  # rejects an unknown provenance
-        for v in (self.C, self.L, self.alpha):
+        for prov in PROVENANCE_FIELDS.values():
+            trusted(getattr(self, prov))  # rejects an unknown provenance
+        for v in (getattr(self, name) for name in PROVENANCE_FIELDS):
             if v is not None and not v >= 0:  # NaN fails it too
                 raise ValueError("budget constants must be nonnegative numbers")
         if self.epsilon is not None and not (0 < self.epsilon < 1):
@@ -131,16 +135,13 @@ def bound_curve(C, L, alpha):
 # the verdict rule, shared by every engine
 
 
-_PROVENANCE_FIELDS = {"C": "c_prov", "L": "l_prov", "alpha": "a_prov"}
-
-
 def _resolve(budget, **measured):
     """``budget`` with each of the ``measured`` constants it leaves out
     (None) set to the run's measurement, marked sampled."""
     changes = {}
     for name, value in measured.items():
         if getattr(budget, name) is None:
-            changes.update({name: value, _PROVENANCE_FIELDS[name]: "sampled"})
+            changes.update({name: value, PROVENANCE_FIELDS[name]: "sampled"})
     return replace(budget, **changes)
 
 
@@ -154,10 +155,10 @@ def _report(empirical, theo, budget, trace, allowance=0.0, extras=None):
     covered = trace.sum_L <= budget.L + REPORT_TOL + trace.quad_err and (
         budget.alpha is None or trace.sum_alpha <= budget.alpha + REPORT_TOL
     )
-    constants = zip((budget.C, budget.L, budget.alpha), (budget.c_prov, budget.l_prov, budget.a_prov))
+    stated = [prov for name, prov in PROVENANCE_FIELDS.items() if getattr(budget, name) is not None]
     if not covered:
         note = "measured sums exceed the stated budget"
-    elif not all(trusted(prov) for value, prov in constants if value is not None):
+    elif not all(trusted(getattr(budget, prov)) for prov in stated):
         note = "sampled constants: verdict limited to hypothesis-unverified"
     else:
         verdict = BOUND_HOLDS if empirical <= theo + REPORT_TOL + allowance else BOUND_VIOLATED
@@ -354,8 +355,7 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False, subs=()):
     t_s = np.linspace(a, b, int(samples))
     # quadrature nodes first, then the subintervals', then the S samples: one batch per step
     nodes = np.concatenate([t_quad, *(t for t, _ in quads), t_s])
-    pts = np.array([gamma0.pos(t) for t in nodes])
-    tans = np.array([gamma0.tan(t) for t in nodes])
+    pts, tans = gamma0.pos(nodes), gamma0.tan(nodes)
     n_q, n_0 = len(t_quad), len(nodes) - len(t_s)  # n_0: the first sample row
     angle_idx = _angle_subset(n_q)
     tans, norms, scale = _rescaled(tans, 0, step=0)

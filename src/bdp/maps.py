@@ -264,7 +264,7 @@ def second_derivatives(m, pts, u, v):
 
 def _row_norms(a):
     """Euclidean norms of the rows of ``a``, bit for bit as np.linalg.norm of one row."""
-    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 def _steps(pts, scale):

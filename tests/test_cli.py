@@ -1,6 +1,7 @@
 """Command-line front end: configs, exit codes, report files, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,16 @@ def test_run_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_every_shipped_config_exits_as_its_expect_line_states(tmp_path, name):
+    text = (CONFIGS / name).read_text()
+    expect = re.search(r"^# expect: check=(\d) run=(\d)$", text, re.MULTILINE)
+    assert expect, f"{name} has no '# expect: check=N run=N' line"
+    path = str(CONFIGS / name)
+    codes = (run_cli("check", path), run_cli("run", path, "--output-dir", str(tmp_path)))
+    assert codes == tuple(map(int, expect.groups()))
+
+
 # ---------------------------------------------------------------------------
 # run: failures are never read as verdicts
 
@@ -203,6 +214,7 @@ def test_seed_override_changes_seeded_scenario(tmp_path):
     r1 = json.loads((d1 / "report.json").read_text())
     r2 = json.loads((d2 / "report.json").read_text())
     assert r1["measured"]["sup_abs_log_ratio"] != r2["measured"]["sup_abs_log_ratio"]
+    assert (r1["seed"], r2["seed"]) == (1, 99)  # the seeds the scenario was built with
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +309,25 @@ BAD_INPUTS = {
         (CONFIGS / "tracemap.cfg").read_text() + "seminorm_resolution = 3.7\n", ()
     ),
     "zero-radius-arc": (INLINE_CURVE + "[curve]\ntype = circle-arc\nradius = 0\n", ()),
+    "unknown-family": ("[experiment]\nengine = main-thm\n[scenario]\nfamily = warp-drive\n", ()),
+    "spiral-curve": (INLINE_CURVE + "[curve]\ntype = spiral\n", ()),
+    "no-scenario-or-maps": ("[experiment]\nengine = thm-2.1\n" + INTERVAL, ()),
+    "thm-2.1-on-2d-maps": (
+        "[experiment]\nengine = thm-2.1\nsamples = 20\n"
+        "[map.0]\ncomp0 = 0.5 1 0\ncomp1 = 0.5 0 1\n" + INTERVAL,
+        (),
+    ),
+    "holder-without-epsilon": (
+        "[experiment]\nengine = holder\nsamples = 20\nresolution = 16\n"
+        "[scenario]\nfamily = planar-rotations\nn = 2\n",
+        (),
+    ),
+    "holder-epsilon-1.5": (
+        "[experiment]\nengine = holder\nsamples = 20\nresolution = 16\n"
+        "[scenario]\nfamily = planar-rotations\nn = 2\n[budget]\nepsilon = 1.5\n",
+        (),
+    ),
+    "resolution-1-1d": ((CONFIGS / "quadratic_thm21.cfg").read_text(), ("--resolution", "1")),
 }
 DISTORTION_ENGINES = (
     "run_1d", "interval_ratio_1d", "run_curve", "run_curve_holder", "arc_ratio_curve"

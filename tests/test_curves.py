@@ -200,9 +200,13 @@ def test_zero_radius_arc_rejected():
         circle_arc(0.0)
 
 
-def test_finite_difference_tangent_of_the_parabola():
+def differenced_parabola():
     # built without ``tangent``: central differences inside, one-sided at the ends
-    c = ParamCurve(domain=(0.0, 1.0), position=lambda t: np.array([t, t * t]))
+    return ParamCurve(domain=(0.0, 1.0), position=lambda t: np.array([t, t * t]))
+
+
+def test_finite_difference_tangent_of_the_parabola():
+    c = differenced_parabola()
     exact = parabola().tangent
     interior = max(np.max(np.abs(c.tan(t) - exact(t))) for t in np.linspace(0.01, 0.99, 99))
     assert interior <= 1e-10
@@ -210,3 +214,24 @@ def test_finite_difference_tangent_of_the_parabola():
         assert np.max(np.abs(c.tan(t) - exact(t))) <= 1e-5
     oracle, _ = quad(lambda t: np.sqrt(1.0 + 4.0 * t * t), 0.0, 1.0)
     assert length(c, 256) == pytest.approx(oracle, abs=1e-8)
+
+
+ARRAY_CURVES = {
+    "circle-arc": lambda: circle_arc(1.5, 0.2, 2.9),
+    "differenced-parabola": differenced_parabola,
+    "natural-circle-arc": lambda: reparameterize_natural(circle_arc(1.5, 0.2, 2.9), 64),
+    "natural-differenced-parabola": lambda: reparameterize_natural(differenced_parabola(), 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CURVES))
+def test_an_array_of_parameters_gives_the_stacked_one_point_results(name):
+    c = ARRAY_CURVES[name]()
+    ts = np.linspace(*c.domain, 37)  # both ends, where the differences are one-sided
+    for method in (c.pos, c.tan):
+        rows = method(ts)
+        assert rows.shape == (37, 2)
+        assert np.array_equal(rows, np.stack([method(t) for t in ts]))
+        assert method(ts[5]).shape == (2,)
+        assert np.array_equal(method(ts[5]), rows[5])
+        assert np.array_equal(method(ts[5:6]), rows[5:6])

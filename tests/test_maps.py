@@ -15,6 +15,7 @@ from bdp import (
     rotation_map,
 )
 from bdp.errors import OutOfRegionError, SingularJacobianError
+from bdp.maps import second_derivatives
 
 
 def affine_2d(mat, offset):
@@ -183,6 +184,35 @@ def test_affine_holder_zero():
         est = estimate_seminorms(m, Box([-1, -1], [1, 1]), resolution=4, epsilon=eps)
         assert est.c2 == 0.0
         assert est.holder == (eps, 0.0)
+
+
+def test_second_derivatives_difference_an_analytic_jacobian():
+    # f(x) = (x0², x0·x1) with its Jacobian but no ``second``: D²f(u, v) = (2u0v0, u0v1 + u1v0)
+    m = SmoothMap(
+        dim=2,
+        func=lambda x: np.array([x[0] ** 2, x[0] * x[1]]),
+        jacobian=lambda x: np.array([[2 * x[0], 0.0], [x[1], x[0]]]),
+    )
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-2.0, 2.0, size=(20, 2))
+    u, v = rng.normal(size=2), rng.normal(size=2)
+    exact = np.array([2 * u[0] * v[0], u[0] * v[1] + u[1] * v[0]])
+    assert np.max(np.abs(second_derivatives(m, pts, u, v) - exact)) <= 1e-8
+    est = estimate_seminorms(m, Box([-1, -1], [1, 1]), resolution=5)
+    with_second = SmoothMap(
+        dim=2,
+        func=m.func,
+        jacobian=m.jacobian,
+        second=lambda x, u, v: np.array([2 * u[0] * v[0], u[0] * v[1] + u[1] * v[0]]),
+    )
+    assert est.c2 == pytest.approx(estimate_seminorms(with_second, est.region, 5).c2, abs=1e-8)
+
+
+def test_second_derivatives_of_an_affine_map_with_a_jacobian_are_exactly_zero():
+    m = affine_2d([[0.5, 0.1], [-0.3, 0.7]], [0.2, -0.1])
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(10, 2))
+    assert np.all(second_derivatives(m, pts, np.array([1.0, 0.0]), np.array([0.6, 0.8])) == 0.0)
+    assert estimate_seminorms(m, Box([-1, -1], [1, 1]), resolution=4).c2 == 0.0
 
 
 def test_singular_grid_flags_infinite_inverse():

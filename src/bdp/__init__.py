@@ -11,7 +11,6 @@ from .curves import (
     circle_arc,
     length,
     max_angle,
-    pushforward,
     reparameterize_natural,
     segment,
 )
@@ -23,8 +22,6 @@ from .distortion import (
     DistortionTrace,
     HypothesisBudget,
     arc_ratio_curve,
-    bound_1d,
-    bound_curve,
     first_lemma_violation,
     interval_ratio_1d,
     lemma_step_checks,
@@ -38,12 +35,9 @@ from .maps import (
     MapSequence,
     SeminormEstimate,
     SmoothMap,
-    apply_sequence,
     estimate_seminorms,
     images,
-    inverse_jacobian_norm,
     jacobians,
-    operator_norm,
     polynomial_map,
     second_derivatives,
 )

@@ -1,5 +1,4 @@
-"""Regular C¹ curves: length, maximal angle, arc-length reparameterization,
-and pushforward under smooth maps."""
+"""Regular C¹ curves: length, maximal angle and arc-length reparameterization."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -7,7 +6,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RegularityError
-from .maps import _row_norms, images, jacobians
+from .maps import _row_norms
 
 _EPS = np.finfo(float).eps
 #: the default grid size of ``length``, ``max_angle`` and ``reparameterize_natural``
@@ -146,10 +145,6 @@ class NaturalCurve:
     pos = position
     tan = tangent
 
-    def locate(self, t_original):
-        """Arc-length parameter of the original parameter ``t_original``."""
-        return float(np.interp(t_original, self.t_table, self.s_table))
-
 
 def reparameterize_natural(curve, resolution=None):
     """Unit-speed reparameterization via a cumulative arc-length table."""
@@ -164,18 +159,6 @@ def reparameterize_natural(curve, resolution=None):
     if np.any(np.diff(s_table) <= 0):
         raise RegularityError("arc-length table not strictly increasing")
     return NaturalCurve(original=curve, t_table=ts[::2].copy(), s_table=s_table)
-
-
-def pushforward(curve, m):
-    """The curve t ↦ f(γ(t)) with chain-rule tangent D_{γ(t)} f · γ'(t)."""
-
-    def position(t):
-        return images(m, curve.pos(t))[0]
-
-    def tangent(t):
-        return jacobians(m, curve.pos(t))[0] @ curve.tan(t)
-
-    return ParamCurve(domain=curve.domain, position=position, tangent=tangent, dim=m.dim)
 
 
 def segment(p0, p1):

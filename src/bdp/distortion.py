@@ -2,12 +2,13 @@
 against the explicit bounds e^{CL} (1D) and e^{C²(α+L)} (curves in ℝ^d).
 
 All ratio accumulation happens in log space; bound comparisons are made in
-log space so huge constants never overflow.  Every walk keeps its tangents in
-range by exact powers of two, so 10³-step runs work, and both ratio forms
-integrate pushed-tangent speeds within their base run's one walk.  Every
-engine's verdict is made by ``_report``: a comparison that relies on any
-untrusted (sampled) constant can be at best "hypothesis-unverified", never
-"bound-violated", since sampled suprema are lower bounds.
+log space so huge constants never overflow.  Every engine walks its orbit
+once, in ``_walk``, with its tangents kept in range by exact powers of two,
+so 10³-step runs work; no image length is an endpoint difference, so lengths
+keep their relative accuracy near a fixed point.  Every engine's verdict is
+made by ``_report``: a comparison that relies on any untrusted (sampled)
+constant can be at best "hypothesis-unverified", never "bound-violated", since
+sampled suprema are lower bounds.
 """
 
 import math
@@ -29,6 +30,8 @@ UNVERIFIED = "hypothesis-unverified"
 REPORT_TOL = 1e-9
 #: how far a subinterval end may lie outside a curve's computed natural domain
 SUBINTERVAL_TOL = 1e-9
+#: the 2-point Gauss nodes of an interval [a, b] are (a + b)/2 + (b − a)·GAUSS_NODES
+GAUSS_NODES = np.array([-0.5, 0.5]) / math.sqrt(3.0)
 
 
 #: each budget constant and its provenance field; a constant's [budget] key is its lower case
@@ -117,20 +120,6 @@ class BoundReport:
         return self.theoretical_log_K - self.empirical
 
 
-def bound_1d(C, L):
-    """The 1D distortion constant K = e^{CL}."""
-    if C < 0 or L < 0:
-        raise ValueError("C and L must be nonnegative")
-    return math.exp(C * L)
-
-
-def bound_curve(C, L, alpha):
-    """The curve distortion constant K = e^{C²(α+L)}."""
-    if C < 0 or L < 0 or alpha < 0:
-        raise ValueError("constants must be nonnegative")
-    return math.exp(C * C * (alpha + L))
-
-
 # ---------------------------------------------------------------------------
 # the verdict rule, shared by every engine
 
@@ -169,7 +158,7 @@ def _report(empirical, theo, budget, trace, allowance=0.0, extras=None):
 
 
 # ---------------------------------------------------------------------------
-# 1D engines
+# the one orbit walk, shared by every engine
 
 
 def _record_log_bounds(per_step, coef, eps=1.0):
@@ -180,6 +169,68 @@ def _record_log_bounds(per_step, coef, eps=1.0):
     for rec in per_step:
         cumulative += coef * (rec.alpha + rec.length**eps)
         rec.log_bound = cumulative
+
+
+def _rescaled(tans, scale, step):
+    """(tans, norms, scale) for ``tans``, the true tangents times 2^scale: the row
+    norms, taken once; past [2^-256, 2^256] for the largest, all rows get one
+    power of two and ``scale`` follows.  A zero or non-finite norm raises; no
+    tangents (None) give (None, None, scale)."""
+    if tans is None:
+        return None, None, scale
+    norms = np.linalg.norm(tans, axis=1)
+    lo, hi = norms.min(), norms.max()
+    if not (lo > 0 and hi < np.inf):  # a NaN fails both
+        raise HypothesisViolationError("tangent vanished or is not finite", step=step)
+    top = math.frexp(hi)[1]
+    if abs(top) > 256:
+        tans, norms, scale = np.ldexp(tans, -top), np.ldexp(norms, -top), scale - top
+    return tans, norms, scale
+
+
+def _image_extras(norms, quads, scale):
+    """The image lengths of the subintervals with Simpson nodes ``quads``
+    (none or a pair), plain Simpson of their pushed speeds ``norms`` times
+    2^scale, and their ratio, taken before the scale is applied back."""
+    if not quads:
+        return {}
+    (t1, h1), (_, h2) = quads
+    len1, len2 = _simpson(norms[: len(t1)], h1), _simpson(norms[len(t1) :], h2)
+    lengths = (math.ldexp(len1, -scale), math.ldexp(len2, -scale))
+    return {"image_lengths": lengths, "ratio": len1 / len2}
+
+
+def _walk(seq, pts, tans, measure, reseat=None, eps=1.0):
+    """The only loop over ``seq``: the (N, d) batch ``pts`` pushed through
+    every f_i, with the tangents ``tans`` of its first rows (or None) kept in
+    range by exact powers of two.  At step i, ``reseat(pts)``, if given, first
+    returns the batch with the rows that do not follow the orbit moved; after
+    the push, with the tangents rescaled (a vanished one raises),
+    ``measure(i, f_i, jac, pts, tans, norms, scale)`` gets the Jacobians and
+    the batch and tangents (times 2^scale) of F_{i−1}∘γ0, and returns the
+    step's L_i, α_i, both lemma increments, the error estimate of L_i and the
+    lemma pairs.  The sums take L_i^ε.  Returns the trace, its empirical
+    fields left to the engine, and the last tangents' norms and scale.
+    """
+    tans, norms, scale = _rescaled(tans, 0, step=0)
+    per_step = []
+    for i, m in enumerate(seq, start=1):
+        if reseat is not None:
+            pts = reseat(pts)
+        jac, image, pushed = advance(m, pts, tans, step=i)
+        pushed = _rescaled(pushed, scale, step=i)
+        per_step.append(StepRecord(i, *measure(i, m, jac, pts, tans, norms, scale)))
+        pts, (tans, norms, scale) = image, pushed
+
+    sum_L = sum(rec.length**eps for rec in per_step)  # each sum in step order
+    sum_alpha = sum(rec.alpha for rec in per_step)
+    quad_err = sum(rec.length_err for rec in per_step)
+    trace = DistortionTrace(len(seq), per_step, sum_L, sum_alpha, None, None, quad_err=quad_err)
+    return trace, norms, scale
+
+
+# ---------------------------------------------------------------------------
+# 1D engines
 
 
 def _check_subintervals(domain, subs, tol=SUBINTERVAL_TOL):
@@ -213,64 +264,59 @@ def run_1d(seq, interval, samples, budget, subs=()):
 
     ``interval`` is (lo, hi); points are a deterministic grid of ``samples``
     points including both endpoints.  Derivative sign changes on the grid are
-    hypothesis violations (f' must not vanish).  ``subs``, () or (sub1, sub2),
-    puts each one's Simpson nodes (``samples`` intervals) after the grid, with
-    tangents; the extras gain ``image_lengths`` (each ∫|F_n'|) and their ``ratio``.
+    hypothesis violations (f' must not vanish).  The length L_i of the image
+    interval F_{i−1}([lo, hi]) is carried from step to step: L_{i+1} is L_i
+    times the 2-point Gauss mean of |f_i'| over it, exact when f_i is a
+    polynomial of degree at most 4, so no endpoint difference enters it; its
+    error estimate is its distance from the endpoint difference.  ``subs``,
+    () or (sub1, sub2), adds each one's Simpson nodes (``samples`` intervals)
+    with unit tangents; the extras gain ``image_lengths`` (each ∫|F_n'|) and
+    their ``ratio``.
     """
     lo, hi = check_1d(seq, interval, samples, subs)
     grid = np.linspace(lo, hi, int(samples))
-    k = len(grid)
     quads = [_simpson_nodes(*sorted(sub), samples) for sub in subs]  # each from its lower end
-    pts = np.concatenate([grid, *(t for t, _ in quads)])[:, None]
-    tans, norms, scale = np.ones((len(pts) - k, 1)), np.ones(len(pts) - k), 0  # subs' rows only
-
+    # rows: the subintervals' nodes, the two Gauss nodes (placed by reseat), the grid
+    pts = np.concatenate([*(t for t, _ in quads), [lo, hi], grid])[:, None]
+    g = len(pts) - len(grid) - 2  # the first Gauss row
+    tans = np.ones((g, 1)) if subs else None
     log_sum = np.zeros(len(grid))
-    per_step = []
-    sum_L = 0.0
     measured_C = 0.0
-    need_c = budget.C is None
-    for j, m in enumerate(seq, start=1):
-        jac, image, _ = advance(m, pts, step=j)
-        deriv = jac[:k, 0, 0]
+    length = math.frexp(hi - lo)  # L_i as (mantissa, exponent), so no underflow ends it
+
+    def reseat(pts):  # the Gauss nodes of [a, b] = [F_{i−1}(lo), F_{i−1}(hi)], the grid's ends
+        a, b = pts[-len(grid), 0], pts[-1, 0]
+        pts = pts.copy()
+        pts[g : g + 2, 0] = (a + b) / 2 + (b - a) * GAUSS_NODES
+        return pts
+
+    def measure(j, m, jac, pts, *_):
+        nonlocal log_sum, measured_C, length
+        deriv = jac[-len(grid) :, 0, 0]
         if np.any(deriv == 0) or (np.any(deriv > 0) and np.any(deriv < 0)):
             raise HypothesisViolationError(
                 f"derivative vanishes or changes sign on step interval {j}", step=j
             )
-        if need_c:  # sampled sup |f''| / |f'| over the grid's images
-            second = second_derivatives(m, pts[:k], np.ones(1), np.ones(1))[:, 0]
+        if budget.C is None:  # sampled sup |f''| / |f'| over the grid's images
+            second = second_derivatives(m, pts[-len(grid) :], np.ones(1), np.ones(1))[:, 0]
             measured_C = max(measured_C, float(np.max(np.abs(second) / np.abs(deriv))))
         step_logs = np.log(np.abs(deriv))
         log_sum += step_logs
-        seg = abs(float(pts[k - 1, 0] - pts[0, 0]))  # the grid ends are lo and hi
-        sum_L += seg
-        per_step.append(
-            StepRecord(
-                index=j,
-                length=seg,
-                alpha=0.0,
-                lemma1_increment=0.0,
-                lemma2_increment=float(step_logs.max() - step_logs.min()),
-            )
-        )
-        if subs:  # 1D Jacobians are scalars
-            tans, norms, scale = _rescaled(jac[k:, 0] * tans, scale, step=j)
-        pts = image
+        l_j = math.ldexp(*length)
+        err = abs(l_j - abs(float(pts[-1, 0] - pts[-len(grid), 0])))
+        mean = abs(float(jac[g, 0, 0] + jac[g + 1, 0, 0])) / 2
+        mantissa, exponent = math.frexp(length[0] * mean)
+        length = (mantissa, length[1] + exponent)
+        return l_j, 0.0, 0.0, float(step_logs.max() - step_logs.min()), err, None, None
 
+    trace, norms, scale = _walk(seq, pts, tans, measure, reseat)
     empirical = float(log_sum.max() - log_sum.min())
-    trace = DistortionTrace(
-        n=len(seq),
-        per_step=per_step,
-        sum_L=sum_L,
-        sum_alpha=0.0,
-        sup_abs_log_ratio=empirical,
-        sample_params=grid,
-        sample_logs=log_sum,
-    )
+    trace.sup_abs_log_ratio, trace.sample_params, trace.sample_logs = empirical, grid, log_sum
 
     # e^{CL} reads no α or ε; a stated one kept here would enter the trust check
     budget = replace(budget, alpha=None, epsilon=None, a_prov="sampled")
-    budget = _resolve(budget, C=measured_C, L=sum_L)
-    _record_log_bounds(per_step, budget.C)
+    budget = _resolve(budget, C=measured_C, L=trace.sum_L)
+    _record_log_bounds(trace.per_step, budget.C)
     extras = _image_extras(norms, quads, scale)
     return _report(empirical, budget.C * budget.L, budget, trace, extras=extras)
 
@@ -280,32 +326,6 @@ def interval_ratio_1d(seq, interval, sub1, sub2, samples, budget):
     against the sandwich r·K^{∓1} with K = (e^{CL})²."""
     base = run_1d(seq, interval, samples, budget, (sub1, sub2))
     return _ratio_report(base, sub1, sub2, "image_gaps")
-
-
-def _rescaled(tans, scale, step):
-    """(tans, norms, scale) for ``tans``, the true tangents times 2^scale: the row
-    norms, taken once; past [2^-256, 2^256] for the largest, all rows get one
-    power of two and ``scale`` follows.  A zero or non-finite norm raises."""
-    norms = np.linalg.norm(tans, axis=1)
-    lo, hi = norms.min(), norms.max()
-    if not (lo > 0 and hi < np.inf):  # a NaN fails both
-        raise HypothesisViolationError("tangent vanished or is not finite", step=step)
-    top = math.frexp(hi)[1]
-    if abs(top) > 256:
-        tans, norms, scale = np.ldexp(tans, -top), np.ldexp(norms, -top), scale - top
-    return tans, norms, scale
-
-
-def _image_extras(norms, quads, scale):
-    """The image lengths of the subintervals with Simpson nodes ``quads``
-    (none or a pair), plain Simpson of their pushed speeds ``norms`` times
-    2^scale, and their ratio, taken before the scale is applied back."""
-    if not quads:
-        return {}
-    (t1, h1), (_, h2) = quads
-    len1, len2 = _simpson(norms[: len(t1)], h1), _simpson(norms[len(t1) :], h2)
-    lengths = (math.ldexp(len1, -scale), math.ldexp(len2, -scale))
-    return {"image_lengths": lengths, "ratio": len1 / len2}
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +369,21 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False, subs=()):
     allowance C²·(the summed length error estimates)."""
     gamma0 = check_curve(seq, gamma0, samples, resolution, budget, subs, holder)
     eps = budget.epsilon if holder else 1.0  # x ** 1.0 == x
+
     a, b = gamma0.domain
     t_quad, h = _simpson_nodes(a, b, resolution)
     quads = [_simpson_nodes(*sorted(sub), resolution) for sub in subs]  # each from its lower end
     t_s = np.linspace(a, b, int(samples))
     # quadrature nodes first, then the subintervals', then the S samples: one batch per step
     nodes = np.concatenate([t_quad, *(t for t, _ in quads), t_s])
-    pts, tans = gamma0.pos(nodes), gamma0.tan(nodes)
     n_q, n_0 = len(t_quad), len(nodes) - len(t_s)  # n_0: the first sample row
     angle_idx = _angle_subset(n_q)
-    tans, norms, scale = _rescaled(tans, 0, step=0)
 
-    per_step = []
-    sum_L = 0.0
-    sum_alpha = 0.0
-    quad_err = 0.0
-    for i, m in enumerate(seq, start=1):
-        w_q, w_s = tans[:n_q], tans[n_0:]
+    def measure(i, m, jac, pts, tans, norms, scale):
         l_i, err_i = (math.ldexp(v, -scale) for v in simpson_richardson(norms[:n_q], h))
+        w_q, w_s = tans[:n_q], tans[n_0:]
         alpha_i = max_angle_of_tangents(np.vstack([w_q[angle_idx], w_s]))
         u_log = np.log(norms[n_0:])
-
-        jac, pts, tans = advance(m, pts, tans, step=i)  # w_q, w_s still view the old tans
-        tans, norms, scale = _rescaled(tans, scale, step=i)
         cross = np.einsum("kab,lb->kla", jac[n_0:], w_s)
         log_n = np.log(np.linalg.norm(cross, axis=2))  # log_n[k, l] = log ||J(x_k) u_l||
         lhs1 = np.abs(log_n.diagonal()[:, None] - log_n)
@@ -380,43 +392,20 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False, subs=()):
         # both diagonals are exactly 0, so the lemma-1 maximum is never negative
         lemma1_inc, lemma1_pair = _argmax_pair(lhs1 - base)
         lemma2_inc, lemma2_pair = _argmax_pair(lhs2)
+        return l_i, alpha_i, lemma1_inc, lemma2_inc, err_i, lemma1_pair, lemma2_pair
 
-        sum_L += l_i**eps
-        sum_alpha += alpha_i
-        quad_err += err_i
-        per_step.append(
-            StepRecord(
-                index=i,
-                length=l_i,
-                alpha=alpha_i,
-                lemma1_increment=lemma1_inc,
-                lemma2_increment=lemma2_inc,
-                length_err=err_i,
-                lemma1_pair=lemma1_pair,
-                lemma2_pair=lemma2_pair,
-            )
-        )
-
-    c2 = budget.C * budget.C
-    _record_log_bounds(per_step, c2, eps)
+    trace, norms, scale = _walk(seq, gamma0.pos(nodes), gamma0.tan(nodes), measure, eps=eps)
     log_norms = np.log(norms[n_0:])
     empirical = float(log_norms.max() - log_norms.min())
+    trace.sup_abs_log_ratio, trace.sample_params = empirical, t_s
+    trace.sample_logs = log_norms - scale * math.log(2.0)
 
-    trace = DistortionTrace(
-        n=len(seq),
-        per_step=per_step,
-        sum_L=sum_L,
-        sum_alpha=sum_alpha,
-        sup_abs_log_ratio=empirical,
-        sample_params=t_s,
-        sample_logs=log_norms - scale * math.log(2.0),
-        quad_err=quad_err,
-    )
-    budget = _resolve(budget, L=sum_L, alpha=sum_alpha)
-    allowance = c2 * quad_err
+    c2 = budget.C * budget.C
+    _record_log_bounds(trace.per_step, c2, eps)
+    budget = _resolve(budget, L=trace.sum_L, alpha=trace.sum_alpha)
+    allowance = c2 * trace.quad_err
     extras = {"holder": True} if holder else {}
-    extras["quadrature_allowance"] = allowance
-    extras.update(_image_extras(norms[n_q:n_0], quads, scale))
+    extras.update(quadrature_allowance=allowance, **_image_extras(norms[n_q:n_0], quads, scale))
     return _report(empirical, c2 * (budget.alpha + budget.L), budget, trace, allowance, extras)
 
 

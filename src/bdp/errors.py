@@ -19,10 +19,6 @@ class OutOfRegionError(BdpError):
         super().__init__(f"evaluation outside validity region{where}: {point}")
 
 
-class SingularJacobianError(BdpError):
-    """The Jacobian is singular at the evaluation point."""
-
-
 class RegularityError(BdpError):
     """A curve tangent vanished at a sample point."""
 

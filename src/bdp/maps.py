@@ -4,9 +4,9 @@ A ``SmoothMap`` bundles value callbacks (batch or one-point), optional
 analytic derivative callbacks and a validity region.  ``images``,
 ``jacobians`` and ``second_derivatives`` are the one evaluator: a single
 point is a batch of one, and maps without derivative callbacks get finite
-differences there.  ``estimate_seminorms`` measures the C¹/C²/Hölder
-seminorms on a grid; sampled values are lower bounds of the true suprema,
-while maps may carry trusted analytic annotations.
+differences there.  ``estimate_seminorms`` measures the C¹/C² seminorms on
+a grid; sampled values are lower bounds of the true suprema, while maps may
+carry trusted analytic annotations.
 """
 
 import itertools
@@ -16,12 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    HypothesisViolationError,
-    OutOfRegionError,
-    SingularJacobianError,
-)
+from .errors import DimensionMismatchError, HypothesisViolationError, OutOfRegionError
 
 _EPS = np.finfo(float).eps
 
@@ -29,8 +24,6 @@ _EPS = np.finfo(float).eps
 STEP1 = _EPS ** (1.0 / 3.0)
 #: finite-difference step scale for the nested differences of second derivatives
 STEP2 = _EPS ** (1.0 / 4.0)
-#: most grid-point pairs the sampled Hölder quotient visits
-HOLDER_PAIR_LIMIT = 100_000
 SINGULARITY_RTOL = 1e-14
 #: every provenance a constant or seminorm may carry, and whether a verdict trusts it:
 #: analytic values are upper bounds, sampled ones grid maxima (lower bounds of the suprema)
@@ -176,9 +169,6 @@ class MapSequence:
     def __iter__(self):
         return iter(self.maps)
 
-    def __getitem__(self, i):
-        return self.maps[i]
-
     @property
     def dim(self):
         return self.maps[0].dim
@@ -308,29 +298,13 @@ def _fd_jacobians(m, pts, step):
 def advance(m, pts, tans=None, step=None):
     """One step of the (N, d) batch ``pts`` through ``m``: (Jacobians, images, pushed),
     with the checks of ``jacobians`` and ``images`` (shape and region once).
-    ``pushed`` is J_k·tans[k], or None without ``tans``."""
+    ``pushed`` is J_k·tans[k] for the rows of ``tans``, which may cover only
+    the batch's first rows, or None without ``tans``."""
     pts = _as_batch(m, pts, step)
     jac = _jacobians(m, pts, step)
     image = _values(m, pts, step)
-    pushed = None if tans is None else np.einsum("kab,kb->ka", jac, tans)
+    pushed = None if tans is None else np.einsum("kab,kb->ka", jac[: len(tans)], tans)
     return jac, image, pushed
-
-
-def apply_sequence(seq, x):
-    """Orbit [x, F_1(x), ..., F_n(x)] of the compositions F_i = f_i ∘ ... ∘ f_1
-    for one point x, or for each row of a point batch."""
-    orbit = [np.asarray(x, dtype=float)]
-    for i, m in enumerate(seq, start=1):
-        orbit.append(images(m, orbit[-1], step=i).reshape(orbit[0].shape))
-    return orbit
-
-
-def operator_norm(a):
-    """Largest singular value (Euclidean operator norm)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite matrix entries")
-    return float(np.linalg.norm(a, 2))
 
 
 def _singular(jacs):
@@ -339,14 +313,6 @@ def _singular(jacs):
     norms = np.linalg.norm(jacs, 2, axis=(1, 2))
     scale = np.maximum(1.0, norms) ** jacs.shape[1]
     return np.abs(np.linalg.det(jacs)) < SINGULARITY_RTOL * scale, norms
-
-
-def inverse_jacobian_norm(m, x):
-    """‖(D_x f)⁻¹‖ at one point x, raising if the Jacobian is singular there."""
-    jac = jacobians(m, x)
-    if _singular(jac)[0][0]:
-        raise SingularJacobianError(f"Jacobian singular at {x} (det={np.linalg.det(jac[0]):.3e})")
-    return operator_norm(np.linalg.inv(jac[0]))
 
 
 def _direction_pairs(dim, extra=32, seed=2024):
@@ -364,21 +330,15 @@ def _direction_pairs(dim, extra=32, seed=2024):
     return pairs
 
 
-def estimate_seminorms(m, region, resolution, epsilon=None):
-    """Grid estimate of the C¹, inverse-C¹, C² and optional Hölder seminorms.
+def estimate_seminorms(m, region, resolution):
+    """Grid estimate of the C¹, inverse-C¹ and C² seminorms.
 
     Returns the map's analytic annotations when it carries them; otherwise
     the sampled maxima, which are lower bounds of the suprema on ``region``.
-    A singular Jacobian anywhere on the grid makes ``c1_inv`` infinite.  The
-    Hölder quotient strides over at most HOLDER_PAIR_LIMIT grid-point pairs.
+    A singular Jacobian anywhere on the grid makes ``c1_inv`` infinite.
     """
     if m.seminorms is not None and trusted(m.seminorms.provenance):
-        est = m.seminorms
-        if epsilon is not None and (est.holder is None or est.holder[0] != epsilon):
-            raise HypothesisViolationError(
-                f"map {m.name!r} has no analytic Hölder bound for epsilon={epsilon}"
-            )
-        return est
+        return m.seminorms
 
     pts = region.grid(resolution)
     jacs = jacobians(m, pts)
@@ -392,24 +352,7 @@ def estimate_seminorms(m, region, resolution, epsilon=None):
         float(_row_norms(second_derivatives(m, pts, u, v)).max())
         for u, v in _direction_pairs(region.dim)
     )
-
-    holder = None
-    if epsilon is not None:
-        npairs = len(pts) * (len(pts) - 1) // 2
-        stride = max(1, npairs // HOLDER_PAIR_LIMIT)
-        spacing = np.min((region.hi - region.lo) / (resolution - 1))
-        best = 0.0
-        for i, j in itertools.islice(itertools.combinations(range(len(pts)), 2), 0, None, stride):
-            gap = np.linalg.norm(pts[i] - pts[j])
-            if gap < spacing:
-                continue
-            diff = operator_norm(jacs[i] - jacs[j])
-            best = max(best, diff / gap**epsilon)
-        holder = (epsilon, best)
-
-    return SeminormEstimate(
-        c1=c1, c1_inv=c1_inv, c2=c2, region=region, holder=holder, provenance="sampled"
-    )
+    return SeminormEstimate(c1=c1, c1_inv=c1_inv, c2=c2, region=region, provenance="sampled")
 
 
 def polynomial_map(components, region=None, name="polynomial"):

@@ -586,6 +586,16 @@ def test_holder_cumulative_bound_sums_epsilon_powers_of_the_lengths(tmp_path):
     assert rows[-1]["cumulative_log_bound"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_affine_ratio_lengths_shrink_by_0_4_each_step_up_to_the_fixed_point(tmp_path):
+    # by step 42 the image endpoints round to one double near 0.5; the carried length does not
+    run_cli("run", str(CONFIGS / "affine_ratio.cfg"), "--output-dir", str(tmp_path))
+    rows = (tmp_path / "steps.csv").read_text().split()[1:]
+    lengths = [float(row.split(",")[1]) for row in rows]
+    assert len(lengths) == 45
+    for i, length in enumerate(lengths, start=1):
+        assert length == pytest.approx(0.4 ** (i - 1), rel=1e-12, abs=0), f"step {i}"
+
+
 def test_one_d_cumulative_bound_ends_at_c_times_the_summed_lengths(tmp_path):
     run_cli("run", str(CONFIGS / "quadratic_thm21.cfg"), "--output-dir", str(tmp_path))
     report = json.loads((tmp_path / "report.json").read_text())

@@ -11,7 +11,6 @@ from bdp import (
     HypothesisBudget,
     MapSequence,
     SmoothMap,
-    bound_1d,
     interval_ratio_1d,
     polynomial_map,
     quadratic_1d,
@@ -35,17 +34,6 @@ def quad_seq(n):
 
 
 QUAD_BUDGET = HypothesisBudget(C=0.5, L=4.0, c_prov="analytic", l_prov="analytic")
-
-
-def test_bound_1d_values():
-    assert bound_1d(0.0, 7.0) == 1.0
-    assert bound_1d(1.0, 1.0) == pytest.approx(math.e, rel=1e-12)
-    assert bound_1d(0.5, 4.0) == pytest.approx(math.e**2, rel=1e-12)
-
-
-def test_bound_monotone_in_arguments():
-    assert bound_1d(0.6, 2.0) >= bound_1d(0.5, 2.0)
-    assert bound_1d(0.5, 3.0) >= bound_1d(0.5, 2.0)
 
 
 @pytest.mark.parametrize("field", ["C", "L", "alpha"])
@@ -121,6 +109,18 @@ def test_stationary_reduction_uses_orbit_lengths():
         lo, hi = f(lo), f(hi)
     assert rep.trace.sum_L == pytest.approx(sum(lengths), abs=1e-12)
     assert [r.length for r in rep.trace.per_step] == pytest.approx(lengths, abs=1e-12)
+
+
+def test_carried_lengths_of_cubic_maps_match_a_high_precision_orbit():
+    # the 2-point Gauss mean of f' is exact for cubic f, so each L_i is the image length to rounding
+    coefs = [(0.4 + 0.02 * k, 0.05, 0.02 + 0.01 * (k % 3)) for k in range(12)]
+    maps = (polynomial_map([[(a, (1,)), (b, (2,)), (c, (3,))]]) for a, b, c in coefs)
+    rep = run_1d(MapSequence(tuple(maps)), (0.0, 1.0), 50, HypothesisBudget(C=1.0))
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for (a, b, c), rec in zip(coefs, rep.trace.per_step):
+            assert rec.length == pytest.approx(float(hi - lo), rel=1e-13, abs=0)
+            lo, hi = (a * x + b * x**2 + c * x**3 for x in (lo, hi))
 
 
 def test_telescoping_bound_1d():

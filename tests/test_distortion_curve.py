@@ -9,7 +9,6 @@ from bdp import (
     MapSequence,
     ScenarioSpec,
     arc_ratio_curve,
-    bound_curve,
     build_sequence,
     circle_arc,
     first_lemma_violation,
@@ -23,14 +22,7 @@ from bdp import (
 )
 from bdp.distortion import BOUND_HOLDS, UNVERIFIED
 from bdp.errors import HypothesisViolationError
-from bdp.maps import SmoothMap
-
-
-def test_bound_curve_values():
-    assert bound_curve(0.0, 3.0, 2.0) == 1.0
-    assert bound_curve(1.0, 2.0, 1.0) == pytest.approx(math.e**3, rel=1e-12)
-    assert bound_curve(0.5, 4.0, 0.0) == pytest.approx(math.e, rel=1e-12)
-    assert bound_curve(1.1, 2.0, 1.0) >= bound_curve(1.0, 2.0, 1.0)
+from bdp.maps import SmoothMap, images, jacobians
 
 
 def unit_segment():
@@ -141,6 +133,29 @@ def test_seeded_quadratic_family_lemmas_and_telescoping():
         assert c.lemma1_slack >= -1e-9
     total = sum(r.lemma1_increment + r.lemma2_increment for r in rep.trace.per_step)
     assert rep.empirical <= total + 1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_lemma_increments_match_a_pointwise_double_loop(seed):
+    # every sample point and tangent pushed on its own, every pair visited by a double loop
+    seq, gamma0, budget = build_sequence(ScenarioSpec("planar-contraction-shear", n=6, seed=seed))
+    rep = run_curve(seq, gamma0, 12, 32, budget)
+    ts = np.linspace(*gamma0.domain, 12)
+    xs, us = [gamma0.pos(t) for t in ts], [gamma0.tan(t) for t in ts]
+    for m, rec in zip(seq, rep.trace.per_step):
+        jac = [jacobians(m, x)[0] for x in xs]
+        log_ju = [[math.log(np.linalg.norm(jk @ ul)) for ul in us] for jk in jac]
+        log_u = [math.log(np.linalg.norm(u)) for u in us]
+        lemma1 = lemma2 = -math.inf
+        for k in range(12):
+            for l in range(12):
+                drift = abs(log_ju[k][k] - log_ju[k][l]) - abs(log_u[k] - log_u[l])
+                lemma1 = max(lemma1, drift)
+                lemma2 = max(lemma2, abs(log_ju[k][l] - log_ju[l][l]))
+        assert rec.lemma1_increment == pytest.approx(lemma1, rel=0, abs=1e-13)
+        assert rec.lemma2_increment == pytest.approx(lemma2, rel=0, abs=1e-13)
+        xs = [images(m, x)[0] for x in xs]
+        us = [jk @ u for jk, u in zip(jac, us)]
 
 
 def test_antisymmetry_of_pairwise_logs():

@@ -117,6 +117,25 @@ def test_1d_engines_walk_the_orbit_once_per_batch(ratio, walks, inputs):
     assert calls == {"func_batch": walks * len(seq), "jacobian_batch": walks * len(seq)}
 
 
+@pytest.mark.parametrize("inputs", [_quadratic_1d, _inline_cubic])
+def test_the_interval_ratio_is_judged_against_its_base_bound_squared(inputs):
+    seq, interval, budget = inputs()
+    subs = ((0.0, 0.4), (0.4, 1.0))
+    ratio = interval_ratio_1d(seq, interval, *subs, 50, budget)
+    base = run_1d(seq, interval, 50, budget, subs)
+    assert ratio.theoretical_log_K == 2.0 * base.theoretical_log_K
+
+
+@pytest.mark.parametrize("inputs", [_shear, _inline_planar])
+def test_the_arc_ratio_is_judged_against_its_base_bound_squared(inputs):
+    seq, gamma0, budget = inputs()
+    a, b = gamma0.domain
+    subs = ((a, (a + b) / 2), ((a + b) / 2, b))
+    ratio = arc_ratio_curve(seq, gamma0, *subs, 20, 32, budget)
+    base = run_curve(seq, gamma0, 20, 32, budget, subs)
+    assert ratio.theoretical_log_K == 2.0 * base.theoretical_log_K
+
+
 def _subintervals(data, domain):
     a, b = domain
     point = st.floats(a, b, allow_nan=False)

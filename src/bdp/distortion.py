@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import NaturalCurve, _simpson, _simpson_nodes, max_angle_of_tangents
+from .curves import NaturalCurve, _simpson_nodes, max_angle_of_tangents
 from .curves import reparameterize_natural, simpson_richardson
 from .errors import HypothesisViolationError
 from .maps import advance, second_derivatives, trusted
@@ -188,21 +188,9 @@ def _rescaled(tans, scale, step):
     return tans, norms, scale
 
 
-def _image_extras(norms, quads, scale):
-    """The image lengths of the subintervals with Simpson nodes ``quads``
-    (none or a pair), plain Simpson of their pushed speeds ``norms`` times
-    2^scale, and their ratio, taken before the scale is applied back."""
-    if not quads:
-        return {}
-    (t1, h1), (_, h2) = quads
-    len1, len2 = _simpson(norms[: len(t1)], h1), _simpson(norms[len(t1) :], h2)
-    lengths = (math.ldexp(len1, -scale), math.ldexp(len2, -scale))
-    return {"image_lengths": lengths, "ratio": len1 / len2}
-
-
 def _walk(seq, pts, tans, measure, reseat=None, eps=1.0):
     """The only loop over ``seq``: the (N, d) batch ``pts`` pushed through
-    every f_i, with the tangents ``tans`` of its first rows (or None) kept in
+    every f_i, with the tangents ``tans`` of all its rows (or None) kept in
     range by exact powers of two.  At step i, ``reseat(pts)``, if given, first
     returns the batch with the rows that do not follow the orbit moved; after
     the push, with the tangents rescaled (a vanished one raises),
@@ -264,52 +252,57 @@ def run_1d(seq, interval, samples, budget, subs=()):
 
     ``interval`` is (lo, hi); points are a deterministic grid of ``samples``
     points including both endpoints.  Derivative sign changes on the grid are
-    hypothesis violations (f' must not vanish).  The length L_i of the image
-    interval F_{i−1}([lo, hi]) is carried from step to step: L_{i+1} is L_i
-    times the 2-point Gauss mean of |f_i'| over it, exact when f_i is a
-    polynomial of degree at most 4, so no endpoint difference enters it; its
-    error estimate is its distance from the endpoint difference.  ``subs``,
-    () or (sub1, sub2), adds each one's Simpson nodes (``samples`` intervals)
-    with unit tangents; the extras gain ``image_lengths`` (each ∫|F_n'|) and
-    their ``ratio``.
+    hypothesis violations (f' must not vanish).  The length of each image
+    interval is carried from step to step: times the 2-point Gauss mean of
+    |f_i'| over it, exact when f_i is a polynomial of degree at most 4, so no
+    endpoint difference enters it.  The lengths L_i are those of
+    F_{i−1}([lo, hi]); the error estimate of L_i is its distance from the
+    endpoint difference.  ``subs``, () or (sub1, sub2), are carried the same
+    way; the extras gain their ``image_lengths`` and ``ratio``, the ratio
+    |sub1|/|sub2| times each step's ratio of their Gauss means.
     """
     lo, hi = check_1d(seq, interval, samples, subs)
     grid = np.linspace(lo, hi, int(samples))
-    quads = [_simpson_nodes(*sorted(sub), samples) for sub in subs]  # each from its lower end
-    # rows: the subintervals' nodes, the two Gauss nodes (placed by reseat), the grid
-    pts = np.concatenate([*(t for t, _ in quads), [lo, hi], grid])[:, None]
-    g = len(pts) - len(grid) - 2  # the first Gauss row
-    tans = np.ones((g, 1)) if subs else None
+    ends = [(lo, hi), *(sorted(sub) for sub in subs)]  # each interval from its lower end
+    # rows: each interval's ends, then its two Gauss nodes (placed by reseat); the grid
+    pts = np.concatenate([np.tile(ends, 2).ravel(), grid])[:, None]
+    g = 4 * len(ends)  # the first grid row
     log_sum = np.zeros(len(grid))
     measured_C = 0.0
-    length = math.frexp(hi - lo)  # L_i as (mantissa, exponent), so no underflow ends it
+    lengths = [math.frexp(b - a) for a, b in ends]  # (mantissa, exponent): no underflow ends them
+    ratio = (ends[1][1] - ends[1][0]) / (ends[2][1] - ends[2][0]) if subs else None
 
-    def reseat(pts):  # the Gauss nodes of [a, b] = [F_{i−1}(lo), F_{i−1}(hi)], the grid's ends
-        a, b = pts[-len(grid), 0], pts[-1, 0]
+    def reseat(pts):  # the Gauss nodes of [a, b], each interval's image F_{i−1}(ends)
         pts = pts.copy()
-        pts[g : g + 2, 0] = (a + b) / 2 + (b - a) * GAUSS_NODES
+        rows = pts[:g, 0].reshape(-1, 4)
+        a, b = rows[:, :1], rows[:, 1:2]
+        rows[:, 2:] = (a + b) / 2 + (b - a) * GAUSS_NODES
         return pts
 
     def measure(j, m, jac, pts, *_):
-        nonlocal log_sum, measured_C, length
-        deriv = jac[-len(grid) :, 0, 0]
-        if np.any(deriv == 0) or (np.any(deriv > 0) and np.any(deriv < 0)):
+        nonlocal log_sum, measured_C, ratio
+        deriv = jac[g:, 0, 0]
+        if not (deriv.min() > 0 or deriv.max() < 0):
             raise HypothesisViolationError(
                 f"derivative vanishes or changes sign on step interval {j}", step=j
             )
         if budget.C is None:  # sampled sup |f''| / |f'| over the grid's images
-            second = second_derivatives(m, pts[-len(grid) :], np.ones(1), np.ones(1))[:, 0]
+            second = second_derivatives(m, pts[g:], np.ones(1), np.ones(1))[:, 0]
             measured_C = max(measured_C, float(np.max(np.abs(second) / np.abs(deriv))))
         step_logs = np.log(np.abs(deriv))
         log_sum += step_logs
-        l_j = math.ldexp(*length)
-        err = abs(l_j - abs(float(pts[-1, 0] - pts[-len(grid), 0])))
-        mean = abs(float(jac[g, 0, 0] + jac[g + 1, 0, 0])) / 2
-        mantissa, exponent = math.frexp(length[0] * mean)
-        length = (mantissa, length[1] + exponent)
+        l_j = math.ldexp(*lengths[0])
+        err = abs(l_j - abs(float(pts[1, 0] - pts[0, 0])))
+        d = jac[:g, 0, 0].tolist()
+        means = [abs(d[k + 2] + d[k + 3]) / 2 for k in range(0, g, 4)]
+        for k, (mantissa, exponent) in enumerate(lengths):
+            mantissa, shift = math.frexp(mantissa * means[k])
+            lengths[k] = (mantissa, exponent + shift)
+        if subs:
+            ratio *= means[1] / means[2]
         return l_j, 0.0, 0.0, float(step_logs.max() - step_logs.min()), err, None, None
 
-    trace, norms, scale = _walk(seq, pts, tans, measure, reseat)
+    trace = _walk(seq, pts, None, measure, reseat)[0]
     empirical = float(log_sum.max() - log_sum.min())
     trace.sup_abs_log_ratio, trace.sample_params, trace.sample_logs = empirical, grid, log_sum
 
@@ -317,7 +310,8 @@ def run_1d(seq, interval, samples, budget, subs=()):
     budget = replace(budget, alpha=None, epsilon=None, a_prov="sampled")
     budget = _resolve(budget, C=measured_C, L=trace.sum_L)
     _record_log_bounds(trace.per_step, budget.C)
-    extras = _image_extras(norms, quads, scale)
+    image_lengths = tuple(math.ldexp(*v) for v in lengths[1:])
+    extras = {"image_lengths": image_lengths, "ratio": ratio} if subs else None
     return _report(empirical, budget.C * budget.L, budget, trace, extras=extras)
 
 
@@ -405,7 +399,12 @@ def _curve_run(seq, gamma0, samples, resolution, budget, holder=False, subs=()):
     budget = _resolve(budget, L=trace.sum_L, alpha=trace.sum_alpha)
     allowance = c2 * trace.quad_err
     extras = {"holder": True} if holder else {}
-    extras.update(quadrature_allowance=allowance, **_image_extras(norms[n_q:n_0], quads, scale))
+    extras["quadrature_allowance"] = allowance
+    if subs:  # each arc by the rule of L_i; the ratio is taken before the scale is applied back
+        halves = np.split(norms[n_q:n_0], 2)  # both subintervals have the same node count
+        len1, len2 = (simpson_richardson(v, h)[0] for v, (_, h) in zip(halves, quads))
+        lengths = (math.ldexp(len1, -scale), math.ldexp(len2, -scale))
+        extras.update(image_lengths=lengths, ratio=len1 / len2)
     return _report(empirical, c2 * (budget.alpha + budget.L), budget, trace, allowance, extras)
 
 

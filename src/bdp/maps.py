@@ -194,8 +194,10 @@ def _as_batch(m, pts, step):
 
 def _call(pts, batch, point, shape, what, step):
     """One ``batch`` call, or a ``point`` loop over the rows without one;
-    then the output shape and finiteness checks."""
-    out = np.asarray(batch(pts) if batch is not None else [point(x) for x in pts], dtype=float)
+    then the output shape and finiteness checks.  Overflow and invalid
+    operations raise no numpy warning: their non-finite output is checked."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.asarray(batch(pts) if batch is not None else [point(x) for x in pts], dtype=float)
     expected = (len(pts), *shape)
     if out.shape != expected:
         raise DimensionMismatchError(f"{what} have shape {out.shape}, expected {expected}")
@@ -298,12 +300,11 @@ def _fd_jacobians(m, pts, step):
 def advance(m, pts, tans=None, step=None):
     """One step of the (N, d) batch ``pts`` through ``m``: (Jacobians, images, pushed),
     with the checks of ``jacobians`` and ``images`` (shape and region once).
-    ``pushed`` is J_k·tans[k] for the rows of ``tans``, which may cover only
-    the batch's first rows, or None without ``tans``."""
+    ``pushed`` is J_k·tans[k] for every row, or None without ``tans``."""
     pts = _as_batch(m, pts, step)
     jac = _jacobians(m, pts, step)
     image = _values(m, pts, step)
-    pushed = None if tans is None else np.einsum("kab,kb->ka", jac[: len(tans)], tans)
+    pushed = None if tans is None else np.einsum("kab,kb->ka", jac, tans)
     return jac, image, pushed
 
 

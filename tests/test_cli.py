@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,18 @@ def test_overflowing_inline_map_is_unverified(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_UNVERIFIED
     assert not (tmp_path / "report.json").exists()
+
+
+def test_an_overflowing_map_is_unverified_without_a_numpy_warning(tmp_path):
+    # the overflow becomes a non-finite value, which the evaluator reports; no warning escapes
+    maps = "".join(f"[map.{j}]\ncomp0 = 10 5\n" for j in range(1, 7))
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "[experiment]\nengine = thm-2.1\nsamples = 50\n" + maps + "[interval]\nlo = 1.2\nhi = 1.7\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("run", str(cfg), "--output-dir", str(tmp_path)) == EXIT_UNVERIFIED
 
 
 def test_unparsable_config_is_a_config_error(tmp_path):

@@ -33,6 +33,11 @@ def quad_seq(n):
     return MapSequence((quadratic_1d(0.5, 0.125),) * n)
 
 
+def cubic_seq(coefs):
+    """Inline tables a·x + b·x² + c·x³, one per (a, b, c) in ``coefs``."""
+    return MapSequence(tuple(polynomial_map([[(a, (1,)), (b, (2,)), (c, (3,))]]) for a, b, c in coefs))
+
+
 QUAD_BUDGET = HypothesisBudget(C=0.5, L=4.0, c_prov="analytic", l_prov="analytic")
 
 
@@ -114,8 +119,7 @@ def test_stationary_reduction_uses_orbit_lengths():
 def test_carried_lengths_of_cubic_maps_match_a_high_precision_orbit():
     # the 2-point Gauss mean of f' is exact for cubic f, so each L_i is the image length to rounding
     coefs = [(0.4 + 0.02 * k, 0.05, 0.02 + 0.01 * (k % 3)) for k in range(12)]
-    maps = (polynomial_map([[(a, (1,)), (b, (2,)), (c, (3,))]]) for a, b, c in coefs)
-    rep = run_1d(MapSequence(tuple(maps)), (0.0, 1.0), 50, HypothesisBudget(C=1.0))
+    rep = run_1d(cubic_seq(coefs), (0.0, 1.0), 50, HypothesisBudget(C=1.0))
     with mpmath.workdps(50):
         lo, hi = mpmath.mpf(0), mpmath.mpf(1)
         for (a, b, c), rec in zip(coefs, rep.trace.per_step):
@@ -205,6 +209,34 @@ def test_interval_ratio_halves_against_mpmath_orbit():
     # sandwich with K = (e^{CL})² = e⁴ and r = 1
     assert math.exp(-4.0) <= rep.extras["ratio"] <= math.exp(4.0)
     assert rep.verdict == BOUND_HOLDS
+
+
+CUBIC_COEFS = [(0.4 + 0.02 * (k % 6), 0.05, 0.02) for k in range(40)]
+
+
+@pytest.mark.parametrize(
+    "seq, coefs",
+    [
+        pytest.param(quad_seq(50), [(0.5, 0.125, 0.0)] * 50, id="quadratic"),
+        pytest.param(cubic_seq(CUBIC_COEFS), CUBIC_COEFS, id="inline-cubic"),
+    ],
+)
+def test_interval_ratio_lengths_are_exact_to_rounding_at_any_sample_count(seq, coefs):
+    # each subinterval's length is carried by its own Gauss mean, exact for cubic maps
+    sub1, sub2 = (0.0, 0.4), (0.4, 1.0)
+    budget = HypothesisBudget()
+    reps = [interval_ratio_1d(seq, (0.0, 1.0), sub1, sub2, s, budget) for s in (50, 2, 1000)]
+    with mpmath.workdps(50):
+        pts = [mpmath.mpf(x) for x in (0.0, 0.4, 1.0)]
+        for a, b, c in coefs:
+            pts = [a * x + b * x**2 + c * x**3 for x in pts]
+        gaps = [float(pts[1] - pts[0]), float(pts[2] - pts[1])]
+        ratio = float((pts[1] - pts[0]) / (pts[2] - pts[1]))
+    assert list(reps[0].extras["image_gaps"]) == pytest.approx(gaps, rel=1e-14, abs=0)
+    assert reps[0].extras["ratio"] == pytest.approx(ratio, rel=1e-14, abs=0)
+    for rep in reps[1:]:  # the grid is not what measures them
+        assert rep.extras["image_gaps"] == reps[0].extras["image_gaps"]
+        assert rep.extras["ratio"] == reps[0].extras["ratio"]
 
 
 def test_interval_ratio_rejects_degenerate_subinterval():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -218,6 +219,21 @@ def test_arc_ratio_reversed_subintervals_give_the_forward_result(reversed_subs):
     assert rep.extras["ratio"] == ref.extras["ratio"]
     assert rep.extras["arc_lengths"] == ref.extras["arc_lengths"]
     assert (rep.verdict, rep.empirical) == (ref.verdict, ref.empirical)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_arc_lengths_match_the_closed_form_ellipse_speed(n):
+    # diag(1, 0.5)ⁿ takes the quarter circle's tangent (−sin t, cos t) to (−sin t, 0.5ⁿ cos t)
+    diag = polynomial_map([[(1.0, (1, 0))], [(0.5, (0, 1))]])
+    gamma0 = reparameterize_natural(circle_arc(1.0, 0.0, math.pi / 2), 32)
+    subs = ((0.0, 0.6), (0.6, gamma0.domain[1]))
+    rep = arc_ratio_curve(MapSequence((diag,) * n), gamma0, *subs, 20, 32, HypothesisBudget(C=1.0))
+    with mpmath.workdps(30):
+        c = mpmath.mpf(0.5) ** n
+        speed = lambda t: mpmath.sqrt(mpmath.sin(t) ** 2 + (c * mpmath.cos(t)) ** 2)  # noqa: E731
+        for (s0, s1), got in zip(subs, rep.extras["arc_lengths"]):
+            t0, t1 = (float(np.interp(s, gamma0.s_table, gamma0.t_table)) for s in (s0, s1))
+            assert got == pytest.approx(float(mpmath.quad(speed, [t0, t1])), rel=1e-11, abs=0)
 
 
 def test_arc_ratio_rejects_degenerate():

@@ -221,6 +221,8 @@ def _inline(parser, map_sections, kind):
                 coef, *expo = chunk.split()
                 expo = _floats(" ".join(expo), where, integral=True)
                 terms.append((_floats(coef, where, 1)[0], expo))
+            if not terms:  # not the zero polynomial: an empty value is a slip
+                raise ConfigError(f"{where}: no monomials")
             comps.append(terms)
         maps.append(polynomial_map(comps, name=section))
     seq = MapSequence(tuple(maps))

@@ -110,9 +110,11 @@ class SmoothMap:
     through ``images``, ``jacobians`` and ``second_derivatives``.
 
     ``func_batch``: (N, d) points → (N, d) values; ``jacobian_batch``: → (N,
-    d, d).  ``func`` and ``jacobian`` are their one-point forms; one left out
-    beside its batch callback is derived as a batch of one.  ``second`` is
-    D²_x f(u, v) as a (d,) vector.  ``region`` of None means all of ℝ^d.
+    d, d); ``second_batch(X, u, v)``: D²_x f(u, v) at each row x, → (N, d).
+    ``func``, ``jacobian`` and ``second(x, u, v)`` are their one-point forms;
+    one left out beside its batch callback is derived as a batch of one.  A
+    map with a one-point form alone is evaluated row by row.  ``region`` of
+    None means all of ℝ^d.
     """
 
     dim: int
@@ -124,12 +126,13 @@ class SmoothMap:
     seminorms: Optional[SeminormEstimate] = None
     func_batch: Optional[Callable] = None
     jacobian_batch: Optional[Callable] = None
+    second_batch: Optional[Callable] = None
 
     def __post_init__(self):
         if self.func is None and self.func_batch is None:
             raise ValueError("a map needs func or func_batch")
-        for point, batch in (("func", "func_batch"), ("jacobian", "jacobian_batch")):
-            fn, batch_fn = getattr(self, point), getattr(self, batch)
+        for point in ("func", "jacobian", "second"):
+            fn, batch_fn = getattr(self, point), getattr(self, f"{point}_batch")
             # a derived callback is derived again, so it follows a replaced batch callback
             if batch_fn is not None and (fn is None or getattr(fn, "func", None) is _one_row):
                 object.__setattr__(self, point, partial(_one_row, batch_fn))
@@ -143,9 +146,10 @@ class SmoothMap:
         return replace(self, seminorms=estimate)
 
 
-def _one_row(batch, x):
-    """The one-point form of a batch callback: the point as a batch of one."""
-    return batch(np.asarray(x, dtype=float)[None])[0]
+def _one_row(batch, x, *args):
+    """The one-point form of a batch callback: the point as a batch of one
+    (``args``, such as the directions u, v of ``second``, passed on)."""
+    return batch(np.asarray(x, dtype=float)[None], *args)[0]
 
 
 @dataclass(frozen=True)
@@ -192,12 +196,14 @@ def _as_batch(m, pts, step):
     return batch
 
 
-def _call(pts, batch, point, shape, what, step):
-    """One ``batch`` call, or a ``point`` loop over the rows without one;
-    then the output shape and finiteness checks.  Overflow and invalid
-    operations raise no numpy warning: their non-finite output is checked."""
+def _call(pts, batch, point, shape, what, step, args=()):
+    """One ``batch`` call, or a ``point`` loop over the rows without one, each
+    given ``args`` after the points; then the output shape and finiteness
+    checks.  Overflow and invalid operations raise no numpy warning: their
+    non-finite output is checked."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.asarray(batch(pts) if batch is not None else [point(x) for x in pts], dtype=float)
+        out = batch(pts, *args) if batch is not None else [point(x, *args) for x in pts]
+        out = np.asarray(out, dtype=float)
     expected = (len(pts), *shape)
     if out.shape != expected:
         raise DimensionMismatchError(f"{what} have shape {out.shape}, expected {expected}")
@@ -237,13 +243,13 @@ def jacobians(m, pts, step=None):
 
 
 def second_derivatives(m, pts, u, v):
-    """D²_x f(u, v) at each row x of an (N, d) batch: the analytic ``second``
-    row by row, with the output checks of ``images``, else differences along
-    v of J·u, with J analytic (step STEP1) or itself differenced along u
-    (both steps STEP2)."""
+    """D²_x f(u, v) at each row x of an (N, d) batch: one analytic
+    ``second_batch`` call (or a ``second`` loop), with the output checks of
+    ``images``, else differences along v of J·u, with J analytic (step
+    STEP1) or itself differenced along u (both steps STEP2)."""
     pts = _as_batch(m, pts, None)
     if m.second is not None:
-        return _call(pts, None, lambda x: m.second(x, u, v), (m.dim,), "second derivatives", None)
+        return _call(pts, m.second_batch, m.second, (m.dim,), "second derivatives", None, (u, v))
     if m.jacobian is not None:
         return _differences(lambda p: jacobians(m, p) @ u, pts, v, _steps(pts, STEP1), m.region)
     h = _steps(pts, STEP2)
@@ -377,10 +383,16 @@ def polynomial_map(components, region=None, name="polynomial"):
     table = (np.array(expos, int).reshape(-1, dim), np.array(coefs), np.eye(dim)[outs], (dim,))
     first = _partials(table)
     hessians = partial(_table_values, _partials(first))
-    second = lambda x, u, v: np.einsum("rij,i,j->r", _one_row(hessians, x), u, v)  # noqa: E731
+    # einsum, not @: BLAS may sum in another order, so a row's bits could depend on its batch
+    seconds = lambda X, u, v: np.einsum("nrij,i,j->nr", hessians(X), u, v)  # noqa: E731
     values, jacobian = partial(_table_values, table), partial(_table_values, first)
     return SmoothMap(
-        dim, second=second, region=region, name=name, func_batch=values, jacobian_batch=jacobian
+        dim,
+        region=region,
+        name=name,
+        func_batch=values,
+        jacobian_batch=jacobian,
+        second_batch=seconds,
     )
 
 

@@ -519,6 +519,11 @@ BAD_VALUES = {  # config text, what stderr must name
     "nan-coefficient": (ONE_D_HEAD + "[map.1]\ncomp0 = nan 1\n" + INTERVAL, "[map.1] comp0"),
     "inf-constant-term": (ONE_D_HEAD + "[map.1]\ncomp0 = 0.5 1; inf 0\n" + INTERVAL, "[map.1] comp0"),
     "fractional-exponent": (ONE_D_HEAD + "[map.1]\ncomp0 = 0.5 1.5\n" + INTERVAL, "[map.1] comp0"),
+    "empty-component": (ONE_D_HEAD + "[map.1]\ncomp0 =\n" + INTERVAL, "[map.1] comp0"),
+    "separators-only-component": (
+        INLINE_CURVE.replace("comp1 = 0.5 0 1", "comp1 = ;;") + INLINE_CURVES["segment"],
+        "[map.0] comp1",
+    ),
     "fractional-samples": (
         ROTATIONS_MAIN.replace("samples = 128", "samples = 2.5"), "[experiment] samples"
     ),

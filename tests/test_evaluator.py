@@ -71,9 +71,11 @@ def test_single_points_are_the_rows_of_a_batch(m, data):
     lo = 0.0 if m.region is not None else -1.0  # quadratic-1d lives on [0, 1]
     row = st.lists(st.floats(lo, 1.0, allow_nan=False), min_size=m.dim, max_size=m.dim)
     pts = np.array(data.draw(st.lists(row, min_size=1, max_size=5)))
-    v = np.array(data.draw(st.lists(coords, min_size=m.dim, max_size=m.dim)))
+    u, v = (np.array(data.draw(st.lists(coords, min_size=m.dim, max_size=m.dim))) for _ in "uv")
     values, jacs = images(m, pts), jacobians(m, pts)
+    seconds = second_derivatives(m, pts, u, v)
     assert values.shape == pts.shape and jacs.shape == (len(pts), m.dim, m.dim)
+    assert seconds.shape == pts.shape
     # a polynomial table sums each row on its own: a point alone is its row, bit for bit
     tol = {"rtol": 0, "atol": 0} if m.name == "polynomial" else {"rtol": 1e-13, "atol": 1e-15}
     for k, x in enumerate(pts):
@@ -82,6 +84,8 @@ def test_single_points_are_the_rows_of_a_batch(m, data):
         np.testing.assert_allclose(jacobians(m, x)[0], jacs[k], **tol)
         deriv = push_jet1(m, x, v).deriv
         np.testing.assert_allclose(deriv, jacs[k] @ v, **tol)
+        np.testing.assert_allclose(m.second(x, u, v), seconds[k], **tol)
+        np.testing.assert_allclose(push_jet2(m, x, u, v).second, seconds[k], **tol)
 
 
 def test_a_polynomial_table_row_does_not_depend_on_its_batch():
@@ -92,9 +96,12 @@ def test_a_polynomial_table_row_does_not_depend_on_its_batch():
         monomials = lambda: [(rng.uniform(-2, 2), tuple(rng.integers(0, 4, dim))) for _ in range(4)]  # noqa: E731
         m = polynomial_map([monomials() for _ in range(dim)])
         pts = rng.uniform(-1.0, 1.0, (7, dim))
+        u, v = rng.normal(size=dim), rng.normal(size=dim)
         values, jacs = images(m, pts), jacobians(m, pts)
+        seconds = second_derivatives(m, pts, u, v)
         for k, x in enumerate(pts):
             assert np.array_equal(m.func(x), values[k]) and np.array_equal(m.jacobian(x), jacs[k])
+            assert np.array_equal(m.second(x, u, v), seconds[k])
 
 
 def _blowup_map(dim, bad, batch):
@@ -194,6 +201,21 @@ def test_derived_one_point_callbacks_follow_a_replaced_batch_callback():
     assert np.array_equal(doubled.jacobian(x), m.jacobian(x))
     with pytest.raises(ValueError):
         SmoothMap(dim=1)
+
+
+def test_a_derived_second_follows_a_replaced_second_batch():
+    m = polynomial_map([[(0.5, (1,)), (0.125, (2,))]])
+    x, one = np.array([0.4]), np.ones(1)
+    assert np.array_equal(m.second(x, one, one), [0.25])
+    calls = []
+
+    def doubled(X, u, v):
+        calls.append(len(X))
+        return 2.0 * X * u * v
+
+    replaced = dataclasses.replace(m, second_batch=doubled)
+    assert np.array_equal(replaced.second(x, one, one), [0.8])
+    assert calls == [1]
 
 
 def test_an_analytic_second_derivative_gets_the_output_checks():

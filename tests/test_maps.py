@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from bdp import (
     run_1d,
 )
 from bdp.errors import OutOfRegionError
-from bdp.maps import second_derivatives
+from bdp.jets import push_jet2
+from bdp.maps import _direction_pairs, second_derivatives
 
 
 def affine_2d(mat, offset):
@@ -111,6 +114,26 @@ def test_seminorms_monotone_in_nested_resolution():
             assert est.c1_inv >= prev.c1_inv - 1e-15
             assert est.c2 >= prev.c2 - 1e-15
         prev = est
+
+
+def test_seminorms_of_a_table_take_one_second_derivative_call_per_direction_pair():
+    m = polynomial_map(
+        [[(0.3, (1, 0)), (0.05, (2, 0)), (0.04, (1, 1))], [(0.4, (0, 1)), (0.03, (0, 3))]]
+    )
+    calls = []
+
+    def counted(pts, u, v):
+        calls.append(len(pts))
+        return m.second_batch(pts, u, v)
+
+    region = Box([-1, -1], [1, 1])
+    est = estimate_seminorms(dataclasses.replace(m, second_batch=counted), region, 5)
+    assert calls == [25] * len(_direction_pairs(2))
+    assert est.c2 == max(
+        float(np.linalg.norm(push_jet2(m, x, u, v).second))
+        for x in region.grid(5)
+        for u, v in _direction_pairs(2)
+    )
 
 
 def test_second_derivatives_difference_an_analytic_jacobian():

@@ -27,14 +27,14 @@ from bdp.errors import HypothesisViolationError, OutOfRegionError
 from bdp.maps import advance
 
 
-def _counted(seq):
-    """``seq`` with its batch callbacks wrapped by call counters."""
-    calls = {"func_batch": 0, "jacobian_batch": 0}
+def _counted(seq, names=("func_batch", "jacobian_batch")):
+    """``seq`` with its callbacks ``names`` wrapped by call counters."""
+    calls = dict.fromkeys(names, 0)
 
     def count(name, fn):
-        def counted(pts):
+        def counted(*args):
             calls[name] += 1
-            return fn(pts)
+            return fn(*args)
 
         return counted
 
@@ -115,6 +115,15 @@ def test_1d_engines_walk_the_orbit_once_per_batch(ratio, walks, inputs):
     else:
         run_1d(counted, interval, 50, budget)
     assert calls == {"func_batch": walks * len(seq), "jacobian_batch": walks * len(seq)}
+
+
+def test_a_sampled_c_takes_one_second_derivative_call_per_step():
+    seq, interval, budget = _inline_cubic()
+    counted, calls = _counted(seq, ("second_batch", "second"))
+    rep = run_1d(counted, interval, 50, budget)
+    assert calls == {"second_batch": len(seq), "second": 0}
+    plain = run_1d(seq, interval, 50, budget)
+    assert (rep.empirical, rep.theoretical_log_K) == (plain.empirical, plain.theoretical_log_K)
 
 
 @pytest.mark.parametrize("inputs", [_quadratic_1d, _inline_cubic])

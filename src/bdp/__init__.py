@@ -38,6 +38,7 @@ from .maps import (
     estimate_seminorms,
     images,
     jacobians,
+    pointwise,
     polynomial_map,
     second_derivatives,
 )

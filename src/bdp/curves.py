@@ -14,8 +14,8 @@ SAMPLE_RESOLUTION = 512
 
 
 def _at(t, f):
-    """The one-point callable ``f`` at ``t``: a (d,) row, or (N, d) rows for a 1-D array."""
-    rows = np.array([f(s) for s in np.atleast_1d(np.asarray(t, dtype=float))], dtype=float)
+    """The batch callable ``f`` at ``t``: a (d,) row, or (N, d) rows for a 1-D array."""
+    rows = np.asarray(f(np.atleast_1d(np.asarray(t, dtype=float))), dtype=float)
     return rows if np.ndim(t) else rows[0]
 
 
@@ -23,9 +23,11 @@ def _at(t, f):
 class ParamCurve:
     """A regular C¹ curve t ↦ γ(t) on [a, b] with tangent access.
 
-    ``pos`` and ``tan`` take one parameter or a 1-D array of them.
-    Without an analytic ``tangent`` the tangent is taken by central finite
-    differences of the position (one-sided at the endpoints).
+    ``position`` and ``tangent`` map a 1-D array of N parameters to (N, d)
+    rows; ``maps.pointwise`` lifts a one-parameter callable to one.  ``pos``
+    and ``tan`` take one parameter or a 1-D array of them.  Without an
+    analytic ``tangent`` the tangent is taken by central finite differences
+    of the position (one-sided at the endpoints).
     """
 
     domain: tuple
@@ -171,8 +173,8 @@ def segment(p0, p1):
     direction = (p1 - p0) / gap
     return ParamCurve(
         domain=(0.0, gap),
-        position=lambda t: p0 + t * direction,
-        tangent=lambda t: direction,
+        position=lambda t: p0 + t[:, None] * direction,
+        tangent=lambda t: np.tile(direction, (len(t), 1)),
         dim=p0.size,
     )
 
@@ -183,7 +185,7 @@ def circle_arc(radius=1.0, t0=0.0, t1=np.pi / 2):
         raise ValueError("degenerate circle arc: radius 0")
     return ParamCurve(
         domain=(t0, t1),
-        position=lambda t: np.array([radius * np.cos(t), radius * np.sin(t)]),
-        tangent=lambda t: np.array([-radius * np.sin(t), radius * np.cos(t)]),
+        position=lambda t: np.stack([radius * np.cos(t), radius * np.sin(t)], axis=1),
+        tangent=lambda t: np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=1),
         dim=2,
     )

@@ -228,7 +228,7 @@ def _check_subintervals(domain, subs, tol=SUBINTERVAL_TOL):
     for sub in subs:
         if abs(sub[1] - sub[0]) < 1e-12:
             raise ValueError(f"degenerate subinterval {sub}")
-        if min(sub) < a - tol or max(sub) > b + tol:
+        if not all(a - tol <= x <= b + tol for x in sub):  # NaN fails it too
             raise ValueError(f"subinterval {sub} not inside ({a}, {b})")
 
 

@@ -1,16 +1,17 @@
 """Smooth maps, map sequences, the evaluator, and seminorm estimation.
 
-A ``SmoothMap`` bundles value callbacks (batch or one-point), optional
-analytic derivative callbacks and a validity region.  ``images``,
-``jacobians`` and ``second_derivatives`` are the one evaluator: a single
-point is a batch of one, and maps without derivative callbacks get finite
-differences there.  ``estimate_seminorms`` measures the C¹/C² seminorms on
-a grid; sampled values are lower bounds of the true suprema, while maps may
-carry trusted analytic annotations.
+A ``SmoothMap`` bundles a batch value callback, optional analytic batch
+derivative callbacks and a validity region; ``pointwise`` lifts a one-point
+callable to a batch one.  ``images``, ``jacobians`` and
+``second_derivatives`` are the one evaluator: a single point is a batch of
+one, and maps without derivative callbacks get finite differences there.
+``estimate_seminorms`` measures the C¹/C² seminorms on a grid; sampled
+values are lower bounds of the true suprema, while maps may carry trusted
+analytic annotations.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -48,7 +49,7 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo >= hi):
+        if lo.shape != hi.shape or not np.all(lo < hi):  # NaN fails lo < hi
             raise ValueError("degenerate box")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -109,47 +110,34 @@ class SmoothMap:
     """A C² map ℝ^d → ℝ^d with optional analytic structure, evaluated
     through ``images``, ``jacobians`` and ``second_derivatives``.
 
-    ``func_batch``: (N, d) points → (N, d) values; ``jacobian_batch``: → (N,
-    d, d); ``second_batch(X, u, v)``: D²_x f(u, v) at each row x, → (N, d).
-    ``func``, ``jacobian`` and ``second(x, u, v)`` are their one-point forms;
-    one left out beside its batch callback is derived as a batch of one.  A
-    map with a one-point form alone is evaluated row by row.  ``region`` of
-    None means all of ℝ^d.
+    Every callback takes a batch: ``func_batch``: (N, d) points → (N, d)
+    values; ``jacobian_batch``: → (N, d, d); ``second_batch(X, u, v)``:
+    D²_x f(u, v) at each row x, → (N, d).  A one-point callable becomes one
+    by ``pointwise``.  A derivative left out is taken by finite differences.
+    ``region`` of None means all of ℝ^d.  ``m(x)`` and ``m.func(x)`` are f at
+    one (d,) point or at each row of a batch.
     """
 
     dim: int
-    func: Optional[Callable] = None
-    jacobian: Optional[Callable] = None
-    second: Optional[Callable] = None
+    func_batch: Callable
+    jacobian_batch: Optional[Callable] = None
+    second_batch: Optional[Callable] = None
     region: Optional[Box] = None
     name: str = ""
     seminorms: Optional[SeminormEstimate] = None
-    func_batch: Optional[Callable] = None
-    jacobian_batch: Optional[Callable] = None
-    second_batch: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.func is None and self.func_batch is None:
-            raise ValueError("a map needs func or func_batch")
-        for point in ("func", "jacobian", "second"):
-            fn, batch_fn = getattr(self, point), getattr(self, f"{point}_batch")
-            # a derived callback is derived again, so it follows a replaced batch callback
-            if batch_fn is not None and (fn is None or getattr(fn, "func", None) is _one_row):
-                object.__setattr__(self, point, partial(_one_row, batch_fn))
 
     def __call__(self, x):
         """f at one (d,) point, or the (N, d) values of a point batch."""
         values = images(self, x)
         return values[0] if np.ndim(x) == 1 else values
 
-    def with_seminorms(self, estimate):
-        return replace(self, seminorms=estimate)
+    func = __call__
 
 
-def _one_row(batch, x, *args):
-    """The one-point form of a batch callback: the point as a batch of one
-    (``args``, such as the directions u, v of ``second``, passed on)."""
-    return batch(np.asarray(x, dtype=float)[None], *args)[0]
+def pointwise(f):
+    """The batch form of a one-point callable ``f(x, *args)``: ``f`` at each
+    row of the batch, with the same ``args``.  The one loop over rows."""
+    return lambda X, *args: np.array([f(x, *args) for x in X], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -182,13 +170,17 @@ class MapSequence:
 # the evaluator: every map value, Jacobian and second derivative goes through it
 
 
-def _as_batch(m, pts, step):
+def _as_batch(m, pts, step, dirs=()):
     """One (d,) point or an (N, d) batch as an (N, d) float batch, checked
-    for shape and then for the region."""
+    for shape (and each direction of ``dirs`` for shape (d,)), then for the
+    region."""
     pts = np.asarray(pts, dtype=float)
     batch = pts[None] if pts.ndim == 1 else pts
     if batch.ndim != 2 or batch.shape[1] != m.dim:
         raise DimensionMismatchError(f"points of shape {pts.shape} for a map on R^{m.dim}")
+    for w in dirs:
+        if np.shape(w) != (m.dim,):
+            raise DimensionMismatchError(f"direction of shape {np.shape(w)} for a map on R^{m.dim}")
     if m.region is not None:
         inside = m.region.contains(batch)
         if not inside.all():
@@ -196,14 +188,12 @@ def _as_batch(m, pts, step):
     return batch
 
 
-def _call(pts, batch, point, shape, what, step, args=()):
-    """One ``batch`` call, or a ``point`` loop over the rows without one, each
-    given ``args`` after the points; then the output shape and finiteness
-    checks.  Overflow and invalid operations raise no numpy warning: their
-    non-finite output is checked."""
+def _call(pts, batch, shape, what, step, args=()):
+    """One ``batch`` call on the points, given ``args`` after them; then the
+    output shape and finiteness checks.  Overflow and invalid operations
+    raise no numpy warning: their non-finite output is checked."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = batch(pts, *args) if batch is not None else [point(x, *args) for x in pts]
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(batch(pts, *args), dtype=float)
     expected = (len(pts), *shape)
     if out.shape != expected:
         raise DimensionMismatchError(f"{what} have shape {out.shape}, expected {expected}")
@@ -214,22 +204,22 @@ def _call(pts, batch, point, shape, what, step, args=()):
 
 
 def _values(m, pts, step):
-    return _call(pts, m.func_batch, m.func, (m.dim,), "map values", step)
+    return _call(pts, m.func_batch, (m.dim,), "map values", step)
 
 
 def _jacobians(m, pts, step):
-    if m.jacobian is None:  # no Jacobian callback of either form
+    if m.jacobian_batch is None:
         fd = lambda p: _fd_jacobians(m, p, step)  # noqa: E731
-        return _call(pts, fd, None, (m.dim, m.dim), "Jacobians", step)
-    return _call(pts, m.jacobian_batch, m.jacobian, (m.dim, m.dim), "Jacobians", step)
+        return _call(pts, fd, (m.dim, m.dim), "Jacobians", step)
+    return _call(pts, m.jacobian_batch, (m.dim, m.dim), "Jacobians", step)
 
 
 def images(m, pts, step=None):
     """f at one (d,) point or at each row of an (N, d) batch: (N, d) values.
 
     Checks in order the input shape, the region (before any callback), one
-    ``func_batch`` call (or a ``func`` loop), the output shape and finiteness,
-    raising ``DimensionMismatchError``, ``OutOfRegionError(step)`` or
+    ``func_batch`` call, the output shape and finiteness, raising
+    ``DimensionMismatchError``, ``OutOfRegionError(step)`` or
     ``HypothesisViolationError(step)``."""
     return _values(m, _as_batch(m, pts, step), step)
 
@@ -244,13 +234,13 @@ def jacobians(m, pts, step=None):
 
 def second_derivatives(m, pts, u, v):
     """D²_x f(u, v) at each row x of an (N, d) batch: one analytic
-    ``second_batch`` call (or a ``second`` loop), with the output checks of
-    ``images``, else differences along v of J·u, with J analytic (step
+    ``second_batch`` call, with the checks of ``images`` (u and v must have
+    shape (d,)), else differences along v of J·u, with J analytic (step
     STEP1) or itself differenced along u (both steps STEP2)."""
-    pts = _as_batch(m, pts, None)
-    if m.second is not None:
-        return _call(pts, m.second_batch, m.second, (m.dim,), "second derivatives", None, (u, v))
-    if m.jacobian is not None:
+    pts = _as_batch(m, pts, None, (u, v))
+    if m.second_batch is not None:
+        return _call(pts, m.second_batch, (m.dim,), "second derivatives", None, (u, v))
+    if m.jacobian_batch is not None:
         return _differences(lambda p: jacobians(m, p) @ u, pts, v, _steps(pts, STEP1), m.region)
     h = _steps(pts, STEP2)
 
@@ -386,14 +376,7 @@ def polynomial_map(components, region=None, name="polynomial"):
     # einsum, not @: BLAS may sum in another order, so a row's bits could depend on its batch
     seconds = lambda X, u, v: np.einsum("nrij,i,j->nr", hessians(X), u, v)  # noqa: E731
     values, jacobian = partial(_table_values, table), partial(_table_values, first)
-    return SmoothMap(
-        dim,
-        region=region,
-        name=name,
-        func_batch=values,
-        jacobian_batch=jacobian,
-        second_batch=seconds,
-    )
+    return SmoothMap(dim, values, jacobian, seconds, region=region, name=name)
 
 
 def _partials(table):

@@ -3,13 +3,13 @@ intervals, and hypothesis budgets (analytic where the family admits closed
 forms, sampled otherwise)."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curves import circle_arc, reparameterize_natural, segment
 from .distortion import HypothesisBudget
-from .maps import Box, MapSequence, SeminormEstimate, SmoothMap, estimate_seminorms
+from .maps import Box, MapSequence, SeminormEstimate, SmoothMap, estimate_seminorms, pointwise
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,12 @@ def quadratic_1d(a=0.5, b=0.125, name="quadratic-1d"):
 
     return SmoothMap(
         dim=1,
-        second=lambda x, u, v: np.array([2 * b * u[0] * v[0]]),
+        func_batch=lambda X: a * X + b * X**2,
+        jacobian_batch=lambda X: (a + 2 * b * X)[..., None],
+        second_batch=pointwise(lambda x, u, v: np.array([2 * b * u[0] * v[0]])),
         region=region,
         name=name,
         seminorms=seminorms,
-        func_batch=lambda X: a * X + b * X**2,
-        jacobian_batch=lambda X: (a + 2 * b * X)[..., None],
     )
 
 
@@ -94,11 +94,11 @@ def rotation_map(theta):
     mat = np.array([[c, -s], [s, c]])
     return SmoothMap(
         dim=2,
-        second=lambda x, u, v: np.zeros(2),
-        name=f"rotation({theta})",
-        seminorms=SeminormEstimate(c1=1.0, c1_inv=1.0, c2=0.0, provenance="analytic"),
         func_batch=lambda X: X @ mat.T,
         jacobian_batch=lambda X: np.broadcast_to(mat, (len(X), 2, 2)).copy(),
+        second_batch=pointwise(lambda x, u, v: np.zeros(2)),
+        name=f"rotation({theta})",
+        seminorms=SeminormEstimate(c1=1.0, c1_inv=1.0, c2=0.0, provenance="analytic"),
     )
 
 
@@ -122,11 +122,11 @@ def quadratic_planar_map(mat, offset, hessians, region, name="quadratic-planar")
 
     return SmoothMap(
         dim=d,
-        second=second,
-        region=region,
-        name=name,
         func_batch=func_batch,
         jacobian_batch=jacobian_batch,
+        second_batch=pointwise(second),
+        region=region,
+        name=name,
     )
 
 
@@ -172,11 +172,11 @@ def fibonacci_trace_map(region=None):
 
     return SmoothMap(
         dim=3,
-        second=second,
-        region=region,
-        name="fibonacci-trace-map",
         func_batch=func_batch,
         jacobian_batch=jacobian_batch,
+        second_batch=pointwise(second),
+        region=region,
+        name="fibonacci-trace-map",
     )
 
 
@@ -231,7 +231,7 @@ def _build_contraction_shear(n, seed, *, epsilon=None):
         mat = s * rot @ shear
         est = quadratic_planar_constants(mat, hessians, region, epsilon=epsilon)
         m = quadratic_planar_map(mat, offset, hessians, region, name=f"contraction-shear-{j}")
-        maps.append(m.with_seminorms(est))
+        maps.append(replace(m, seminorms=est))
         big_c = max(big_c, est.constant)
         rho = max(rho, est.c1)
         if epsilon is not None:

@@ -11,13 +11,14 @@ from bdp import (
     segment,
 )
 from bdp.errors import RegularityError
+from bdp.maps import pointwise
 
 
 def parabola():
     return ParamCurve(
         domain=(0.0, 1.0),
-        position=lambda t: np.array([t, t * t]),
-        tangent=lambda t: np.array([1.0, 2.0 * t]),
+        position=lambda t: np.stack([t, t * t], axis=1),
+        tangent=lambda t: np.stack([np.ones_like(t), 2.0 * t], axis=1),
     )
 
 
@@ -57,8 +58,8 @@ def test_reparam_unit_speed_segment_identity():
 def test_reparam_constant_speed_two():
     c = ParamCurve(
         domain=(0.0, 1.0),
-        position=lambda t: np.array([2.0 * t, 0.0]),
-        tangent=lambda t: np.array([2.0, 0.0]),
+        position=pointwise(lambda t: np.array([2.0 * t, 0.0])),
+        tangent=pointwise(lambda t: np.array([2.0, 0.0])),
     )
     nat = reparameterize_natural(c, 64)
     assert nat.total_length == pytest.approx(2.0, abs=1e-12)
@@ -125,8 +126,8 @@ def test_max_angle_monotone_in_resolution():
 def test_vanishing_tangent_rejected():
     c = ParamCurve(
         domain=(-1.0, 1.0),
-        position=lambda t: np.array([t * t, 0.0]),
-        tangent=lambda t: np.array([2.0 * t, 0.0]),
+        position=pointwise(lambda t: np.array([t * t, 0.0])),
+        tangent=pointwise(lambda t: np.array([2.0 * t, 0.0])),
     )
     with pytest.raises(RegularityError):
         length(c, 64)
@@ -147,12 +148,12 @@ def test_zero_radius_arc_rejected():
 
 def differenced_parabola():
     # built without ``tangent``: central differences inside, one-sided at the ends
-    return ParamCurve(domain=(0.0, 1.0), position=lambda t: np.array([t, t * t]))
+    return ParamCurve(domain=(0.0, 1.0), position=pointwise(lambda t: np.array([t, t * t])))
 
 
 def test_finite_difference_tangent_of_the_parabola():
     c = differenced_parabola()
-    exact = parabola().tangent
+    exact = parabola().tan
     interior = max(np.max(np.abs(c.tan(t) - exact(t))) for t in np.linspace(0.01, 0.99, 99))
     assert interior <= 1e-10
     for t in (0.0, 1.0):

@@ -18,14 +18,15 @@ from bdp import (
 )
 from bdp.distortion import BOUND_HOLDS, UNVERIFIED
 from bdp.errors import HypothesisViolationError
+from bdp.maps import pointwise
 
 
 def affine_1d(a, b):
     return SmoothMap(
         dim=1,
-        func=lambda x: a * x + b,
-        jacobian=lambda x: np.array([[a]]),
-        second=lambda x, u, v: np.zeros(1),
+        func_batch=pointwise(lambda x: a * x + b),
+        jacobian_batch=pointwise(lambda x: np.array([[a]])),
+        second_batch=pointwise(lambda x, u, v: np.zeros(1)),
     )
 
 
@@ -136,9 +137,9 @@ def test_telescoping_bound_1d():
 def test_derivative_sign_change_is_hypothesis_violation():
     bad = SmoothMap(
         dim=1,
-        func=lambda x: x**2,
-        jacobian=lambda x: np.array([[2.0 * x[0]]]),
-        second=lambda x, u, v: np.full(1, 2.0),
+        func_batch=pointwise(lambda x: x**2),
+        jacobian_batch=pointwise(lambda x: np.array([[2.0 * x[0]]])),
+        second_batch=pointwise(lambda x, u, v: np.full(1, 2.0)),
     )
     with pytest.raises(HypothesisViolationError):
         run_1d(MapSequence((bad,)), (-1.0, 1.0), 50, HypothesisBudget())
@@ -242,6 +243,15 @@ def test_interval_ratio_lengths_are_exact_to_rounding_at_any_sample_count(seq, c
 def test_interval_ratio_rejects_degenerate_subinterval():
     with pytest.raises(ValueError):
         interval_ratio_1d(quad_seq(2), (0.0, 1.0), (0.2, 0.2), (0.5, 1.0), 50, QUAD_BUDGET)
+
+
+@pytest.mark.parametrize("sub", [(math.nan, 0.5), (0.5, math.nan)], ids=["nan-lo", "nan-hi"])
+def test_a_nan_subinterval_bound_is_a_bad_input(sub):
+    # not an OutOfRegionError, a hypothesis failure, once the engine has run
+    with pytest.raises(ValueError, match="not inside"):
+        run_1d(quad_seq(2), (0.0, 1.0), 50, QUAD_BUDGET, (sub,))
+    with pytest.raises(ValueError, match="not inside"):
+        interval_ratio_1d(quad_seq(2), (0.0, 1.0), sub, (0.5, 1.0), 50, QUAD_BUDGET)
 
 
 def test_interval_ratio_notes_a_sampled_constant_once():

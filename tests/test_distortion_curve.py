@@ -23,7 +23,7 @@ from bdp import (
 )
 from bdp.distortion import BOUND_HOLDS, UNVERIFIED
 from bdp.errors import HypothesisViolationError
-from bdp.maps import SmoothMap, images, jacobians
+from bdp.maps import SmoothMap, images, jacobians, pointwise
 
 
 def unit_segment():
@@ -45,8 +45,10 @@ def test_rotations_exact_zeros():
 
 def test_identity_sequence_keeps_lengths():
     ident = SmoothMap(
-        dim=2, func=lambda x: x.copy(), jacobian=lambda x: np.eye(2),
-        second=lambda x, u, v: np.zeros(2),
+        dim=2,
+        func_batch=pointwise(lambda x: x.copy()),
+        jacobian_batch=pointwise(lambda x: np.eye(2)),
+        second_batch=pointwise(lambda x, u, v: np.zeros(2)),
     )
     gamma0 = reparameterize_natural(circle_arc(1.0, 0.0, np.pi / 2), 128)
     seq = MapSequence((ident,) * 4)
@@ -95,15 +97,15 @@ def test_lemma_checks_affine():
         maps.append(
             SmoothMap(
                 dim=2,
-                func=(lambda A: lambda x: A @ x)(mat),
-                jacobian=(lambda A: lambda x: A)(mat),
-                second=lambda x, u, v: np.zeros(2),
+                func_batch=pointwise((lambda A: lambda x: A @ x)(mat)),
+                jacobian_batch=pointwise((lambda A: lambda x: A)(mat)),
+                second_batch=pointwise(lambda x, u, v: np.zeros(2)),
             )
         )
     gamma0 = reparameterize_natural(circle_arc(1.0, 0.0, 1.0), 128)
     c_bound = max(
-        max(np.linalg.norm(m.jacobian(np.zeros(2)), 2), np.linalg.norm(np.linalg.inv(m.jacobian(np.zeros(2))), 2))
-        for m in maps
+        max(np.linalg.norm(j, 2), np.linalg.norm(np.linalg.inv(j), 2))
+        for j in (jacobians(m, np.zeros(2))[0] for m in maps)
     )
     budget = HypothesisBudget(C=c_bound, c_prov="analytic")
     rep = run_curve(MapSequence(tuple(maps)), gamma0, 80, 128, budget)
@@ -241,6 +243,18 @@ def test_arc_ratio_rejects_degenerate():
     a, b = gamma0.domain
     with pytest.raises(ValueError):
         arc_ratio_curve(seq, gamma0, (a, a), (a, b), 50, 64, budget)
+
+
+@pytest.mark.parametrize("nan_hi", [False, True], ids=["nan-lo", "nan-hi"])
+def test_a_nan_subinterval_bound_is_a_bad_input(nan_hi):
+    # not a vanished tangent, a hypothesis failure, once the engine has run
+    seq, gamma0, budget = build_sequence(ScenarioSpec("planar-contraction-shear", n=3, seed=2))
+    a, b = gamma0.domain
+    sub = ((a + b) / 2, math.nan) if nan_hi else (math.nan, (a + b) / 2)
+    with pytest.raises(ValueError, match="not inside"):
+        run_curve(seq, gamma0, 20, 32, budget, (sub,))
+    with pytest.raises(ValueError, match="not inside"):
+        arc_ratio_curve(seq, gamma0, sub, (a, b), 20, 32, budget)
 
 
 def test_sampled_budget_cannot_violate():

@@ -28,7 +28,7 @@ from bdp import (
     segment,
 )
 from bdp.errors import DimensionMismatchError, HypothesisViolationError, OutOfRegionError
-from bdp.maps import STEP1, _direction_pairs, advance
+from bdp.maps import STEP1, _direction_pairs, advance, pointwise
 from bdp.scenarios import quadratic_planar_map
 
 # derandomized so that the suite stays deterministic; no example database on disk
@@ -65,8 +65,20 @@ builtins = st.sampled_from(["quadratic-1d", "rotation", "quadratic-planar", "tra
 )
 
 
+@st.composite
+def lifted_maps(draw):
+    """One-point callables lifted by ``pointwise``, with and without a Jacobian."""
+    dim = draw(st.integers(1, 3))
+    mat = np.array(draw(st.lists(coords, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    f = lambda x: np.sin(mat @ x) + x**3  # noqa: E731
+    jac = lambda x: np.cos(mat @ x)[:, None] * mat + np.diag(3.0 * x**2)  # noqa: E731
+    jacobian_batch = pointwise(jac) if draw(st.booleans()) else None
+    return SmoothMap(dim, pointwise(f), jacobian_batch, name="lifted")
+
+
+# in this order the 60 derandomized examples draw every builtin and both lifted kinds
 @deterministic
-@given(st.one_of(polynomial_maps(), builtins), st.data())
+@given(st.one_of(polynomial_maps(), lifted_maps(), builtins), st.data())
 def test_single_points_are_the_rows_of_a_batch(m, data):
     lo = 0.0 if m.region is not None else -1.0  # quadratic-1d lives on [0, 1]
     row = st.lists(st.floats(lo, 1.0, allow_nan=False), min_size=m.dim, max_size=m.dim)
@@ -76,15 +88,17 @@ def test_single_points_are_the_rows_of_a_batch(m, data):
     seconds = second_derivatives(m, pts, u, v)
     assert values.shape == pts.shape and jacs.shape == (len(pts), m.dim, m.dim)
     assert seconds.shape == pts.shape
-    # a polynomial table sums each row on its own: a point alone is its row, bit for bit
+    # a polynomial table sums each row on its own, and ``pointwise`` calls a one-point
+    # callable on each row alone: a point alone is its row, bit for bit
     tol = {"rtol": 0, "atol": 0} if m.name == "polynomial" else {"rtol": 1e-13, "atol": 1e-15}
+    value_tol = {"rtol": 0, "atol": 0} if m.name == "lifted" else tol
     for k, x in enumerate(pts):
-        np.testing.assert_allclose(m(x), values[k], **tol)
-        np.testing.assert_allclose(m.func(x), values[k], **tol)
+        np.testing.assert_allclose(m(x), values[k], **value_tol)
+        np.testing.assert_allclose(m.func(x), values[k], **value_tol)
         np.testing.assert_allclose(jacobians(m, x)[0], jacs[k], **tol)
         deriv = push_jet1(m, x, v).deriv
         np.testing.assert_allclose(deriv, jacs[k] @ v, **tol)
-        np.testing.assert_allclose(m.second(x, u, v), seconds[k], **tol)
+        np.testing.assert_allclose(second_derivatives(m, x[None], u, v)[0], seconds[k], **tol)
         np.testing.assert_allclose(push_jet2(m, x, u, v).second, seconds[k], **tol)
 
 
@@ -100,8 +114,9 @@ def test_a_polynomial_table_row_does_not_depend_on_its_batch():
         values, jacs = images(m, pts), jacobians(m, pts)
         seconds = second_derivatives(m, pts, u, v)
         for k, x in enumerate(pts):
-            assert np.array_equal(m.func(x), values[k]) and np.array_equal(m.jacobian(x), jacs[k])
-            assert np.array_equal(m.second(x, u, v), seconds[k])
+            assert np.array_equal(m.func(x), values[k])
+            assert np.array_equal(jacobians(m, x)[0], jacs[k])
+            assert np.array_equal(push_jet2(m, x, u, v).second, seconds[k])
 
 
 def _blowup_map(dim, bad, batch):
@@ -111,7 +126,7 @@ def _blowup_map(dim, bad, batch):
     if batch:
         jacs = lambda X: np.broadcast_to(np.eye(dim), (len(X), dim, dim))  # noqa: E731
         return SmoothMap(dim=dim, func_batch=values, jacobian_batch=jacs)
-    return SmoothMap(dim=dim, func=values, jacobian=lambda x: np.eye(dim))
+    return SmoothMap(dim, pointwise(values), pointwise(lambda x: np.eye(dim)))
 
 
 @deterministic
@@ -124,9 +139,9 @@ def _blowup_map(dim, bad, batch):
 def test_a_non_finite_value_is_a_hypothesis_violation_everywhere(dim, bad, batch, fd):
     m = _blowup_map(dim, bad, batch)
     if fd:  # no Jacobian callback: the finite-difference probes meet the bad values first
-        m = SmoothMap(dim=dim, func=m.func, func_batch=m.func_batch)
+        m = dataclasses.replace(m, jacobian_batch=None)
     x = np.full(dim, 0.5)
-    ident = SmoothMap(dim=dim, func=lambda p: p, jacobian=lambda p: np.eye(dim))
+    ident = SmoothMap(dim, pointwise(lambda p: p), pointwise(lambda p: np.eye(dim)))
     budget = HypothesisBudget(C=1.0)
     calls = [
         lambda: m(x),
@@ -158,12 +173,29 @@ def test_inputs_of_the_wrong_shape_are_rejected_before_any_callback():
     def refuse(x):
         raise AssertionError("callback ran before the shape check")
 
-    m = SmoothMap(dim=2, func=refuse, func_batch=refuse, jacobian_batch=refuse)
+    m = SmoothMap(dim=2, func_batch=refuse, jacobian_batch=refuse)
     for pts in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
         with pytest.raises(DimensionMismatchError):
             images(m, pts)
         with pytest.raises(DimensionMismatchError):
             jacobians(m, pts)
+
+
+@pytest.mark.parametrize("name", ["trace-map", "quadratic-1d", "table"])
+def test_directions_of_the_wrong_shape_are_rejected_before_any_callback(name):
+    m = polynomial_map([[(0.5, (1,)), (0.125, (2,))]]) if name == "table" else _builtin(name)
+
+    def refuse(*args):
+        raise AssertionError("callback ran before the shape check")
+
+    refusing = dataclasses.replace(m, func_batch=refuse, jacobian_batch=refuse, second_batch=refuse)
+    differencing = dataclasses.replace(refusing, second_batch=None)
+    pts, good = np.full((3, m.dim), 0.5), np.ones(m.dim)
+    for bad in (np.ones(m.dim + 2), np.ones((1, m.dim)), np.float64(1.0)):
+        for u, v in ((bad, good), (good, bad), (bad, bad)):
+            for checked in (m, refusing, differencing):
+                with pytest.raises(DimensionMismatchError):
+                    second_derivatives(checked, pts, u, v)
 
 
 def test_finite_difference_jacobians_match_the_one_point_formula_bit_for_bit():
@@ -172,7 +204,7 @@ def test_finite_difference_jacobians_match_the_one_point_formula_bit_for_bit():
     for dim in (1, 2, 3):
         mat = rng.normal(size=(dim, dim))
         f = lambda x, mat=mat: np.sin(mat @ x) + x**3  # noqa: E731
-        m = SmoothMap(dim=dim, func=f)
+        m = SmoothMap(dim=dim, func_batch=pointwise(f))
         pts = rng.normal(size=(20, dim)) * 3.0
         jacs = jacobians(m, pts)
         for x, jac in zip(pts, jacs):
@@ -182,7 +214,8 @@ def test_finite_difference_jacobians_match_the_one_point_formula_bit_for_bit():
 
 
 def test_finite_difference_jacobian_stays_inside_the_region():
-    m = SmoothMap(dim=1, func=lambda x: 0.5 * x + 0.1 * x**2, region=Box([0.0], [1.0]))
+    f = pointwise(lambda x: 0.5 * x + 0.1 * x**2)
+    m = SmoothMap(dim=1, func_batch=f, region=Box([0.0], [1.0]))
     rep = run_1d(MapSequence((m,) * 3), (0, 1), 20, HypothesisBudget(C=1.0, L=2.0))
     assert np.isfinite(rep.empirical)
     assert jacobians(m, [[0.0]])[0, 0, 0] == pytest.approx(0.5, abs=1e-6)
@@ -191,40 +224,33 @@ def test_finite_difference_jacobian_stays_inside_the_region():
         jacobians(m, [[1.5]])
 
 
-def test_derived_one_point_callbacks_follow_a_replaced_batch_callback():
+def test_each_quantity_is_read_from_its_one_batch_callback():
     m = quadratic_1d(0.5, 0.125)
-    x = np.array([0.4])
+    x, one = np.array([0.4]), np.ones(1)
     assert m.func(x) == pytest.approx(0.5 * 0.4 + 0.125 * 0.16)
     doubled = dataclasses.replace(m, func_batch=lambda X: 2.0 * X)
     assert np.array_equal(doubled.func(x), [0.8])
     assert np.array_equal(doubled(x), [0.8])
-    assert np.array_equal(doubled.jacobian(x), m.jacobian(x))
-    with pytest.raises(ValueError):
-        SmoothMap(dim=1)
-
-
-def test_a_derived_second_follows_a_replaced_second_batch():
-    m = polynomial_map([[(0.5, (1,)), (0.125, (2,))]])
-    x, one = np.array([0.4]), np.ones(1)
-    assert np.array_equal(m.second(x, one, one), [0.25])
     calls = []
 
-    def doubled(X, u, v):
+    def second_batch(X, u, v):
         calls.append(len(X))
         return 2.0 * X * u * v
 
-    replaced = dataclasses.replace(m, second_batch=doubled)
-    assert np.array_equal(replaced.second(x, one, one), [0.8])
+    replaced = dataclasses.replace(m, second_batch=second_batch)
+    assert np.array_equal(push_jet2(replaced, x, one, one).second, [0.8])
     assert calls == [1]
+    with pytest.raises(TypeError):  # a map needs its batch value callback
+        SmoothMap(dim=1)
 
 
 def test_an_analytic_second_derivative_gets_the_output_checks():
     def with_second(second):
         return SmoothMap(
             dim=1,
-            func=lambda x: 0.5 * x + 0.1 * x**2,
-            jacobian=lambda x: np.array([[0.5 + 0.2 * x[0]]]),
-            second=second,
+            func_batch=pointwise(lambda x: 0.5 * x + 0.1 * x**2),
+            jacobian_batch=pointwise(lambda x: np.array([[0.5 + 0.2 * x[0]]])),
+            second_batch=pointwise(second),
         )
 
     nan_second = with_second(lambda x, u, v: np.array([np.nan]))

@@ -3,7 +3,7 @@ import pytest
 
 from bdp import fd_oracle, polynomial_map, push_jet1, push_jet2
 from bdp.errors import DimensionMismatchError, OutOfRegionError
-from bdp.maps import Box, SmoothMap
+from bdp.maps import Box, SmoothMap, pointwise
 
 
 def relerr(a, b, floor=1.0):
@@ -12,7 +12,7 @@ def relerr(a, b, floor=1.0):
 
 def bare_map(dim, func):
     """A map with no analytic callbacks, forcing finite differences."""
-    return SmoothMap(dim=dim, func=func)
+    return SmoothMap(dim=dim, func_batch=pointwise(func))
 
 
 def square_1d():
@@ -68,7 +68,7 @@ def test_jet2_cross_term():
     jet = push_jet2(m, np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert np.allclose(jet.second, [0.0, 1.0], atol=1e-9)
     nested = push_jet2(
-        SmoothMap(dim=2, func=m.func),
+        SmoothMap(dim=2, func_batch=m.func_batch),
         np.array([1.0, 2.0]),
         np.array([1.0, 0.0]),
         np.array([0.0, 1.0]),
@@ -153,7 +153,7 @@ def test_chain_rule_through_composition():
     inner = push_jet1(f, x, v)
     direct_second = push_jet1(g, inner.value, inner.deriv).deriv
 
-    composed = SmoothMap(dim=2, func=lambda p: g.func(f.func(p)))
+    composed = SmoothMap(dim=2, func_batch=pointwise(lambda p: g.func(f.func(p))))
     fd = fd_oracle(composed, x, v, v)
     assert np.allclose(direct_second, fd.first, atol=1e-6)
 
@@ -176,6 +176,6 @@ def test_dimension_mismatch_rejected():
 
 
 def test_out_of_region_is_explicit():
-    m = SmoothMap(dim=1, func=lambda x: x.copy(), region=Box([0.0], [1.0]))
+    m = SmoothMap(dim=1, func_batch=pointwise(lambda x: x.copy()), region=Box([0.0], [1.0]))
     with pytest.raises(OutOfRegionError):
         push_jet1(m, np.array([2.0]), np.ones(1))

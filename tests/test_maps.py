@@ -17,13 +17,13 @@ from bdp import (
 )
 from bdp.errors import OutOfRegionError
 from bdp.jets import push_jet2
-from bdp.maps import _direction_pairs, second_derivatives
+from bdp.maps import _direction_pairs, pointwise, second_derivatives
 
 
 def affine_2d(mat, offset):
     mat = np.asarray(mat, dtype=float)
     offset = np.asarray(offset, dtype=float)
-    return SmoothMap(dim=2, func=lambda x: mat @ x + offset, jacobian=lambda x: mat)
+    return SmoothMap(2, pointwise(lambda x: mat @ x + offset), pointwise(lambda x: mat))
 
 
 def test_inverse_norm_bounds_vector_shrinkage():
@@ -43,18 +43,26 @@ def test_inverse_norm_bounds_vector_shrinkage():
 
 
 def test_out_of_region_reports_step():
-    m = SmoothMap(dim=1, func=lambda x: x + 1.0, region=Box([0.0], [2.0]))
+    m = SmoothMap(dim=1, func_batch=pointwise(lambda x: x + 1.0), region=Box([0.0], [2.0]))
     with pytest.raises(OutOfRegionError) as info:
         run_1d(MapSequence((m,) * 5), (0.5, 0.6), 2, HypothesisBudget(C=0.0))
     assert info.value.step == 3  # x reaches 2.5 entering step 3
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, np.nan], [1.0, 1.0])]
+)
+def test_a_box_with_a_nan_bound_is_rejected(lo, hi):
+    with pytest.raises(ValueError, match="degenerate box"):
+        Box(lo, hi)
+
+
 def test_seminorms_affine_1d():
     m = SmoothMap(
         dim=1,
-        func=lambda x: 0.5 * x + 0.25,
-        jacobian=lambda x: np.array([[0.5]]),
-        second=lambda x, u, v: np.zeros(1),
+        func_batch=pointwise(lambda x: 0.5 * x + 0.25),
+        jacobian_batch=pointwise(lambda x: np.array([[0.5]])),
+        second_batch=pointwise(lambda x, u, v: np.zeros(1)),
     )
     est = estimate_seminorms(m, Box([0.0], [1.0]), resolution=9)
     assert est.c1 == pytest.approx(0.5)
@@ -65,7 +73,7 @@ def test_seminorms_affine_1d():
 
 def test_seminorms_rotation_isometry():
     m = rotation_map(0.7)
-    bare = SmoothMap(dim=2, func=m.func, jacobian=m.jacobian, second=m.second)
+    bare = dataclasses.replace(m, seminorms=None)
     est = estimate_seminorms(bare, Box([-1, -1], [1, 1]), resolution=5)
     assert est.c1 == pytest.approx(1.0)
     assert est.c1_inv == pytest.approx(1.0)
@@ -93,7 +101,7 @@ def test_a_seminorm_estimate_rejects_nan_and_an_unknown_provenance(bad):
 
 def test_sampled_seminorms_below_analytic():
     m = quadratic_1d(0.5, 0.125)
-    bare = SmoothMap(dim=1, func=m.func, jacobian=m.jacobian, second=m.second)
+    bare = dataclasses.replace(m, seminorms=None)
     for res in (3, 5, 9):
         est = estimate_seminorms(bare, Box([0.0], [1.0]), resolution=res)
         assert est.c1 <= 0.75 + 1e-12
@@ -104,7 +112,7 @@ def test_sampled_seminorms_below_analytic():
 def test_seminorms_monotone_in_nested_resolution():
     # nested grids: the refined maximum can only grow
     m = polynomial_map([[(0.3, (1, 0)), (0.05, (2, 0)), (0.04, (1, 1))], [(0.4, (0, 1))]])
-    bare = SmoothMap(dim=2, func=m.func, jacobian=m.jacobian, second=m.second)
+    bare = dataclasses.replace(m, seminorms=None)
     box = Box([-1, -1], [1, 1])
     prev = None
     for res in (3, 5, 9):
@@ -140,8 +148,8 @@ def test_second_derivatives_difference_an_analytic_jacobian():
     # f(x) = (x0², x0·x1) with its Jacobian but no ``second``: D²f(u, v) = (2u0v0, u0v1 + u1v0)
     m = SmoothMap(
         dim=2,
-        func=lambda x: np.array([x[0] ** 2, x[0] * x[1]]),
-        jacobian=lambda x: np.array([[2 * x[0], 0.0], [x[1], x[0]]]),
+        func_batch=pointwise(lambda x: np.array([x[0] ** 2, x[0] * x[1]])),
+        jacobian_batch=pointwise(lambda x: np.array([[2 * x[0], 0.0], [x[1], x[0]]])),
     )
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2.0, 2.0, size=(20, 2))
@@ -149,12 +157,8 @@ def test_second_derivatives_difference_an_analytic_jacobian():
     exact = np.array([2 * u[0] * v[0], u[0] * v[1] + u[1] * v[0]])
     assert np.max(np.abs(second_derivatives(m, pts, u, v) - exact)) <= 1e-8
     est = estimate_seminorms(m, Box([-1, -1], [1, 1]), resolution=5)
-    with_second = SmoothMap(
-        dim=2,
-        func=m.func,
-        jacobian=m.jacobian,
-        second=lambda x, u, v: np.array([2 * u[0] * v[0], u[0] * v[1] + u[1] * v[0]]),
-    )
+    second = lambda x, u, v: np.array([2 * u[0] * v[0], u[0] * v[1] + u[1] * v[0]])  # noqa: E731
+    with_second = dataclasses.replace(m, second_batch=pointwise(second))
     assert est.c2 == pytest.approx(estimate_seminorms(with_second, est.region, 5).c2, abs=1e-8)
 
 
@@ -169,9 +173,9 @@ def test_singular_grid_flags_infinite_inverse():
     # Jacobian vanishes at x = 0, which the grid contains
     m = SmoothMap(
         dim=1,
-        func=lambda x: x**3,
-        jacobian=lambda x: np.array([[3 * x[0] ** 2]]),
-        second=lambda x, u, v: np.array([6 * x[0] * u[0] * v[0]]),
+        func_batch=pointwise(lambda x: x**3),
+        jacobian_batch=pointwise(lambda x: np.array([[3 * x[0] ** 2]])),
+        second_batch=pointwise(lambda x, u, v: np.array([6 * x[0] * u[0] * v[0]])),
     )
     est = estimate_seminorms(m, Box([-1.0], [1.0]), resolution=5)
     assert est.c1_inv == np.inf
@@ -180,7 +184,7 @@ def test_singular_grid_flags_infinite_inverse():
 def test_map_sequence_validation():
     with pytest.raises(ValueError):
         MapSequence(())
-    one_d = SmoothMap(dim=1, func=lambda x: x)
-    two_d = SmoothMap(dim=2, func=lambda x: x)
+    one_d = SmoothMap(dim=1, func_batch=lambda x: x)
+    two_d = SmoothMap(dim=2, func_batch=lambda x: x)
     with pytest.raises(Exception):
         MapSequence((one_d, two_d))

@@ -224,24 +224,32 @@ def test_finite_difference_jacobian_stays_inside_the_region():
         jacobians(m, [[1.5]])
 
 
-def test_each_quantity_is_read_from_its_one_batch_callback():
+def test_derived_one_point_callbacks_follow_a_replaced_batch_callback():
+    # m(x) and m.func are one-point views of func_batch, so they read a replaced one
     m = quadratic_1d(0.5, 0.125)
-    x, one = np.array([0.4]), np.ones(1)
+    x = np.array([0.4])
     assert m.func(x) == pytest.approx(0.5 * 0.4 + 0.125 * 0.16)
     doubled = dataclasses.replace(m, func_batch=lambda X: 2.0 * X)
     assert np.array_equal(doubled.func(x), [0.8])
     assert np.array_equal(doubled(x), [0.8])
+    assert np.array_equal(jacobians(doubled, x), jacobians(m, x))
+    with pytest.raises(TypeError):  # a map needs its batch value callback
+        SmoothMap(dim=1)
+
+
+def test_a_derived_second_follows_a_replaced_second_batch():
+    m = polynomial_map([[(0.5, (1,)), (0.125, (2,))]])
+    x, one = np.array([0.4]), np.ones(1)
+    assert np.array_equal(push_jet2(m, x, one, one).second, [0.25])
     calls = []
 
-    def second_batch(X, u, v):
+    def doubled(X, u, v):
         calls.append(len(X))
         return 2.0 * X * u * v
 
-    replaced = dataclasses.replace(m, second_batch=second_batch)
+    replaced = dataclasses.replace(m, second_batch=doubled)
     assert np.array_equal(push_jet2(replaced, x, one, one).second, [0.8])
     assert calls == [1]
-    with pytest.raises(TypeError):  # a map needs its batch value callback
-        SmoothMap(dim=1)
 
 
 def test_an_analytic_second_derivative_gets_the_output_checks():

@@ -186,11 +186,18 @@ def parse_config(path, samples=None, resolution=None, seed=None):
         sizes = (settings["samples"], settings["resolution"])
         domain = distortion.check_curve(seq, domain, *sizes, budget, subs, name == "holder")
 
+    outputs = {**OUTPUTS, **_read(parser, "output", (), OUTPUTS)}
+    for key, value in outputs.items():  # each a file of its own in the output directory
+        if value in ("", ".", "..") or Path(value).name != value:
+            raise ConfigError(f"[output] {key} must be a plain file name, got {value!r}")
+    if len(set(outputs.values())) < len(outputs):
+        raise ConfigError(f"[output] names must differ, got {outputs}")
+
     return ExperimentConfig(
         engine=name,
         **settings,
         args=(seq, domain, *subs, *sizes, budget),
-        outputs={**OUTPUTS, **_read(parser, "output", (), OUTPUTS)},
+        outputs=outputs,
         echo={section: dict(parser[section]) for section in parser.sections()},
     )
 
@@ -285,9 +292,7 @@ def _report_dict(cfg, report):
 
 def _write_outputs(cfg, report, out_dir, json_only):
     """Write the report JSON and, unless ``json_only``, the step table and the
-    log-ratio plot data; returns the paths written."""
-    out_dir = Path(out_dir) if out_dir else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    log-ratio plot data into the directory ``out_dir``; returns the paths written."""
     report_path = out_dir / cfg.outputs["report"]
     report_path.write_text(json.dumps(_report_dict(cfg, report), indent=2, sort_keys=True) + "\n")
     written = [report_path]
@@ -345,8 +350,13 @@ def main(argv=None):
         if args.command == "check":
             print(f"config ok: engine={cfg.engine}")
             return EXIT_HOLDS
+        out_dir = Path(args.output_dir) if args.output_dir else Path.cwd()
+        try:  # before the engine runs, so that an unusable directory costs no run
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--output-dir {args.output_dir}: {exc.strerror or exc}") from exc
         report = run_experiment(cfg)
-        written = _write_outputs(cfg, report, args.output_dir, args.json_only)
+        written = _write_outputs(cfg, report, out_dir, args.json_only)
     except (ConfigError, ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -532,12 +532,45 @@ BAD_VALUES = {  # config text, what stderr must name
     "provenance-without-a-constant": (
         ROTATIONS_MAIN + "[budget]\nprovenance = sampled\n", "[budget] provenance"
     ),
+    "empty-report-name": (
+        ROTATIONS_MAIN.replace("report = rotations_report.json", "report ="), "[output] report"
+    ),
+    "dot-report-name": (
+        ROTATIONS_MAIN.replace("report = rotations_report.json", "report = ."), "[output] report"
+    ),
+    "dot-dot-table-name": (
+        ROTATIONS_MAIN.replace("table = rotations_steps.csv", "table = .."), "[output] table"
+    ),
+    "plot-in-a-subdirectory": (
+        ROTATIONS_MAIN.replace("[output]\n", "[output]\nplot = sub/dir/p.csv\n"), "[output] plot"
+    ),
+    "report-and-table-share-a-name": (
+        re.sub(r"rotations_(report|steps)\.\w+", "x.csv", ROTATIONS_MAIN),
+        "[output] names must differ",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_a_bad_value_fails_check_and_run_naming_its_key(tmp_path, monkeypatch, capsys, case):
     _fails_check_and_run_naming(tmp_path, monkeypatch, capsys, *BAD_VALUES[case])
+
+
+def test_an_output_dir_that_cannot_be_made_is_a_usage_error_before_the_engine(
+    tmp_path, monkeypatch, capsys
+):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran though its output directory cannot be made")
+
+    monkeypatch.setattr(distortion, "run_curve", must_not_run)
+    for out_dir in (taken, taken / "sub"):
+        code = run_cli("run", str(CONFIGS / "rotations_main.cfg"), "--output-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert f"--output-dir {out_dir}" in capsys.readouterr().err
+    assert taken.read_text() == "a file, not a directory"
 
 
 def test_integral_floats_are_integers_and_integer_literals_are_exact(tmp_path):

@@ -29,7 +29,7 @@ from bdp import (
 )
 from bdp.errors import DimensionMismatchError, HypothesisViolationError, OutOfRegionError
 from bdp.maps import STEP1, _direction_pairs, advance, pointwise
-from bdp.scenarios import quadratic_planar_map
+from bdp.scenarios import quadratic_map
 
 # derandomized so that the suite stays deterministic; no example database on disk
 deterministic = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -54,7 +54,7 @@ def _builtin(name):
         return rotation_map(0.7)
     if name == "quadratic-planar":
         hessians = [[[0.1, 0.02], [0.0, -0.05]], [[0.0, 0.03], [0.03, 0.04]]]
-        return quadratic_planar_map(
+        return quadratic_map(
             [[0.5, 0.1], [-0.2, 0.4]], [0.1, -0.1], hessians, Box([-1.0, -1.0], [1.0, 1.0])
         )
     return fibonacci_trace_map()

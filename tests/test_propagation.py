@@ -118,12 +118,13 @@ def test_1d_engines_walk_the_orbit_once_per_batch(ratio, walks, inputs):
 
 
 def test_a_sampled_c_takes_one_second_derivative_call_per_step():
-    seq, interval, budget = _inline_cubic()
-    counted, calls = _counted(seq, ("second_batch",))
-    rep = run_1d(counted, interval, 50, budget)
-    assert calls == {"second_batch": len(seq)}
-    plain = run_1d(seq, interval, 50, budget)
-    assert (rep.empirical, rep.theoretical_log_K) == (plain.empirical, plain.theoretical_log_K)
+    builtin, unit_interval, _ = _quadratic_1d()  # its C left out, so sampled
+    for seq, interval, budget in (_inline_cubic(), (builtin, unit_interval, HypothesisBudget())):
+        counted, calls = _counted(seq, ("second_batch",))
+        rep = run_1d(counted, interval, 50, budget)
+        assert calls == {"second_batch": len(seq)}
+        plain = run_1d(seq, interval, 50, budget)
+        assert (rep.empirical, rep.theoretical_log_K) == (plain.empirical, plain.theoretical_log_K)
 
 
 @pytest.mark.parametrize("inputs", [_quadratic_1d, _inline_cubic])

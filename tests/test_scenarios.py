@@ -8,14 +8,18 @@ import pytest
 
 from bdp.curves import NaturalCurve
 from bdp.distortion import run_1d, run_curve, UNVERIFIED
-from bdp.maps import Box, MapSequence, estimate_seminorms, jacobians
+from bdp.jets import fd_oracle, push_jet2
+from bdp.maps import Box, MapSequence, estimate_seminorms, jacobians, second_derivatives
 from bdp.scenarios import (
     SCENARIOS,
     ScenarioSpec,
     SturmianParams,
     build_sequence,
     fibonacci_trace_map,
+    quadratic_1d,
     quadratic_1d_ratio_constants,
+    quadratic_map,
+    rotation_map,
     sturmian_word,
     trace_map_invariant,
 )
@@ -130,6 +134,61 @@ def test_analytic_annotations_dominate_sampled_estimates():
         assert est.c1 <= ann.c1 + 1e-12
         assert est.c2 <= ann.c2 + 1e-12
         assert est.c1_inv <= ann.c1_inv + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# quadratic maps: f(x) = A·x + c + (xᵀH_k x)_k, whose D²f(u, v) = (uᵀ(H_k + H_kᵀ)v)_k
+
+
+SHEAR_HESSIANS = [[[0.004, -0.003], [0.001, 0.002]], [[-0.005, 0.002], [0.0, 0.003]]]
+SHEAR_REGION = Box([-1.5, -1.5], [1.5, 1.5])
+QUADRATICS = {  # map, its Hessians (none for an affine map), its region
+    "quadratic-1d": (quadratic_1d(0.5, 0.125), [[[0.125]]], Box([0.0], [1.0])),
+    "rotation": (rotation_map(0.7), [], Box([-1.0, -1.0], [1.0, 1.0])),
+    "shear": (
+        quadratic_map([[0.4, 0.05], [-0.1, 0.45]], [0.05, -0.02], SHEAR_HESSIANS, SHEAR_REGION),
+        SHEAR_HESSIANS,
+        SHEAR_REGION,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATICS))
+def test_a_builtin_quadratic_has_its_closed_form_second_on_every_row_from_one_call(name):
+    m, hessians, region = QUADRATICS[name]
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(region.lo, region.hi, (200, m.dim))
+    u, v = rng.normal(size=m.dim), rng.normal(size=m.dim)
+    calls = []
+
+    def counted(X, *args):
+        calls.append(len(X))
+        return m.second_batch(X, *args)
+
+    seconds = second_derivatives(dataclasses.replace(m, second_batch=counted), pts, u, v)
+    assert calls == [len(pts)]
+    if not hessians:
+        assert seconds.shape == pts.shape and not seconds.any()  # exactly zero
+    closed = [u @ (np.array(h) + np.array(h).T) @ v for h in hessians] or np.zeros(m.dim)
+    np.testing.assert_allclose(seconds, np.tile(closed, (len(pts), 1)), rtol=1e-14, atol=0)
+
+
+def test_a_quadratic_map_in_three_dimensions_agrees_with_the_finite_difference_oracle():
+    rng = np.random.default_rng(5)
+    mat, offset = rng.uniform(-0.5, 0.5, (3, 3)), rng.uniform(-0.1, 0.1, 3)
+    m = quadratic_map(mat, offset, rng.uniform(-0.2, 0.2, (3, 3, 3)), Box([-1.0] * 3, [1.0] * 3))
+    for _ in range(20):
+        x = rng.uniform(-0.8, 0.8, 3)
+        u, v = rng.normal(size=3), rng.normal(size=3)
+        ref, jet = fd_oracle(m, x, u, v), push_jet2(m, x, u, v)
+        np.testing.assert_allclose(jet.first, ref.first, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(jet.second, ref.second, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(jet.value, ref.value, rtol=1e-14, atol=1e-15)
+
+
+def test_a_quadratic_map_takes_one_hessian_per_output_or_none():
+    with pytest.raises(ValueError, match="one per output"):
+        quadratic_map(np.eye(2), [0.0, 0.0], [np.eye(2)])
 
 
 # ---------------------------------------------------------------------------

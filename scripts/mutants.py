@@ -1,14 +1,16 @@
 """Planted engine faults that the tier-1 tests must catch.
 
-Each mutant is one (file, old, new) triple.  For each, the script copies
-``src/``, ``tests/``, ``configs/`` and ``pyproject.toml`` into a temporary
-directory, replaces the one occurrence of ``old`` in ``file`` there by
-``new``, and runs the tier-1 tests on the copy with ``-x``.  A mutant whose
-run passes survives.  The exit status is 1 if any mutant survives or a
-triple no longer matches its file exactly once, else 0.
+Each mutant is one (file, old, new) triple.  The script copies ``src/``,
+``tests/``, ``configs/`` and ``pyproject.toml`` into a temporary directory
+and runs the tier-1 tests there with ``-x``: first on the unmutated copy,
+which must pass, then once per mutant with the one occurrence of ``old`` in
+``file`` replaced by ``new``.  A mutant is killed only when pytest reports
+failed tests (exit 1); a passing run (exit 0) means it survived, and any
+other exit code is an error.  The exit status is 1 if the unmutated copy
+fails, a mutant is not killed, or a triple no longer matches its file
+exactly once, else 0.
 
-    python scripts/mutants.py            # every mutant
-    python scripts/mutants.py tolerance  # the mutants whose names are given
+    python scripts/mutants.py
 """
 
 import os
@@ -64,35 +66,41 @@ MUTANTS = {  # name: (file, old, new)
 COPIED = ("src", "tests", "configs", "pyproject.toml")
 
 
-def run_mutant(file, old, new):
-    """'killed', 'SURVIVED' or 'NO MATCH' for the fault old → new in ``file``."""
-    text = (ROOT / file).read_text()
-    if text.count(old) != 1:
-        return "NO MATCH"
+def tier1(file=None, text=None):
+    """pytest's exit code for tier-1 on a fresh copy, with ``file`` set to ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in COPIED:
             copy = shutil.copytree if (ROOT / name).is_dir() else shutil.copy
             copy(ROOT / name, Path(tmp) / name)
-        (Path(tmp) / file).write_text(text.replace(old, new))
+        if file is not None:
+            (Path(tmp) / file).write_text(text)
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
-        tier1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors"]
-        tier1 += ["-p", "no:cacheprovider"]
-        code = subprocess.run(tier1, cwd=tmp, env=env, capture_output=True).returncode
-    return "SURVIVED" if code == 0 else "killed"
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors"]
+        cmd += ["-p", "no:cacheprovider"]
+        return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode
 
 
-def main(names):
-    unknown = sorted(set(names) - set(MUTANTS))
-    if unknown:
-        print(f"unknown mutants {unknown}; known: {list(MUTANTS)}")
-        return 2
+def outcome(file, old, new):
+    """'killed', 'SURVIVED', 'NO MATCH' or an error for the fault old → new in ``file``."""
+    text = (ROOT / file).read_text()
+    if text.count(old) != 1:
+        return "NO MATCH"
+    code = tier1(file, text.replace(old, new))
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+
+
+def main():
+    code = tier1()
+    if code != 0:
+        print(f"unmutated copy: pytest exit {code}, expected 0")
+        return 1
     failed = False
-    for name in names or MUTANTS:
-        outcome = run_mutant(*MUTANTS[name])
-        print(f"{name}: {outcome}", flush=True)
-        failed |= outcome != "killed"
+    for name, triple in MUTANTS.items():
+        result = outcome(*triple)
+        print(f"{name}: {result}", flush=True)
+        failed |= result != "killed"
     return int(failed)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

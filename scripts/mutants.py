@@ -1,4 +1,5 @@
-"""Planted engine faults that the tier-1 tests must catch.
+"""Planted faults in the engines and in the closed-form scenario constants
+that the tier-1 tests must catch.
 
 Each mutant is one (file, old, new) triple.  The script copies ``src/``,
 ``tests/``, ``configs/`` and ``pyproject.toml`` into a temporary directory
@@ -22,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/bdp/distortion.py"
+SCENARIOS = "src/bdp/scenarios.py"
 
 MUTANTS = {  # name: (file, old, new)
     "tolerance": (ENGINE, "REPORT_TOL = 1e-9", "REPORT_TOL = 1e-3"),
@@ -61,6 +63,25 @@ MUTANTS = {  # name: (file, old, new)
         "abs(d[k + 2] + d[k + 3]) / 2 for",
         "abs(d[k + 2] + d[k + 3]) / 2 * (1 + 1e-9) for",
     ),
+    "quadratic-c1": (
+        SCENARIOS,
+        "c1 = float(np.linalg.norm(mat, 2)) + h2 * radius",
+        "c1 = float(np.linalg.norm(mat, 2))",
+    ),
+    "quadratic-c1-inv": (SCENARIOS, "c1_inv = inv_norm / (1.0 - delta)", "c1_inv = inv_norm"),
+    "quadratic-c2": (SCENARIOS, "h2 = 2.0 *", "h2 = 1.0 *"),
+    "ratio-c": (SCENARIOS, "c = 2 * b / a", "c = b / a"),
+    "ratio-length": (
+        SCENARIOS,
+        "length_budget = 1.0 / (1.0 - slope_sup)",
+        "length_budget = 1.0 / (1.0 - a)",
+    ),
+    "holder-diameter": (
+        SCENARIOS,
+        "holder = (epsilon, h2 * region.diameter ** (1.0 - epsilon))",
+        "holder = (epsilon, h2)",
+    ),
+    "shear-rate": (SCENARIOS, "rho = max(rho, est.c1)", "rho = max(rho, 0.9 * est.c1)"),
 }
 
 COPIED = ("src", "tests", "configs", "pyproject.toml")

@@ -5,9 +5,10 @@ derivative callbacks and a validity region; ``pointwise`` lifts a one-point
 callable to a batch one.  ``images``, ``jacobians`` and
 ``second_derivatives`` are the one evaluator: a single point is a batch of
 one, and maps without derivative callbacks get finite differences there.
-``estimate_seminorms`` measures the C¹/C² seminorms on a grid; sampled
-values are lower bounds of the true suprema, while maps may carry trusted
-analytic annotations.
+``estimate_seminorms`` measures the C¹/C² seminorms on a grid; its values
+are lower bounds of the true suprema.  Maps carry no seminorm bounds:
+trusted (analytic) constants come from the closed forms of the scenario
+budgets.
 """
 
 import itertools
@@ -107,8 +108,8 @@ class SeminormEstimate:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A C² map ℝ^d → ℝ^d with optional analytic structure, evaluated
-    through ``images``, ``jacobians`` and ``second_derivatives``.
+    """A C² map ℝ^d → ℝ^d, evaluated through ``images``, ``jacobians`` and
+    ``second_derivatives``.  It carries no seminorm bounds.
 
     Every callback takes a batch: ``func_batch``: (N, d) points → (N, d)
     values; ``jacobian_batch``: → (N, d, d); ``second_batch(X, u, v)``:
@@ -124,7 +125,6 @@ class SmoothMap:
     second_batch: Optional[Callable] = None
     region: Optional[Box] = None
     name: str = ""
-    seminorms: Optional[SeminormEstimate] = None
 
     def __call__(self, x):
         """f at one (d,) point, or the (N, d) values of a point batch."""
@@ -328,15 +328,10 @@ def _direction_pairs(dim, extra=32, seed=2024):
 
 
 def estimate_seminorms(m, region, resolution):
-    """Grid estimate of the C¹, inverse-C¹ and C² seminorms.
-
-    Returns the map's analytic annotations when it carries them; otherwise
-    the sampled maxima, which are lower bounds of the suprema on ``region``.
-    A singular Jacobian anywhere on the grid makes ``c1_inv`` infinite.
+    """Grid estimate of the C¹, inverse-C¹ and C² seminorms: the sampled
+    maxima, which are lower bounds of the suprema on ``region``.  A singular
+    Jacobian anywhere on the grid makes ``c1_inv`` infinite.
     """
-    if m.seminorms is not None and trusted(m.seminorms.provenance):
-        return m.seminorms
-
     pts = region.grid(resolution)
     jacs = jacobians(m, pts)
     singular, norms = _singular(jacs)

@@ -53,29 +53,19 @@ class ScenarioSpec:
 
 
 def quadratic_1d(a=0.5, b=0.125, name="quadratic-1d"):
-    """f(x) = a·x + b·x² on [0, 1] with analytic seminorm annotations.
+    """f(x) = a·x + b·x² on [0, 1].
 
     Requires a > 0, b >= 0 and a + 2b < 1 so that [0, 1] maps into itself
     and the derivative stays positive.
     """
     if not (a > 0 and b >= 0 and a + 2 * b < 1):
         raise ValueError("need a > 0, b >= 0, a + 2b < 1")
-    region = Box([0.0], [1.0])
-    seminorms = SeminormEstimate(
-        c1=a + 2 * b,
-        c1_inv=1.0 / a,
-        c2=2 * b,
-        region=region,
-        provenance="analytic",
-    )
-
     # kept closed forms: the generic value and Jacobian take 4x and 5x as long at 1008 rows
-    m = quadratic_map([[a]], [0.0], [[[b]]], region, name)
+    m = quadratic_map([[a]], [0.0], [[[b]]], Box([0.0], [1.0]), name)
     return replace(
         m,
         func_batch=lambda X: a * X + b * X**2,
         jacobian_batch=lambda X: (a + 2 * b * X)[..., None],
-        seminorms=seminorms,
     )
 
 
@@ -88,10 +78,9 @@ def quadratic_1d_ratio_constants(a, b):
 
 
 def rotation_map(theta):
-    """Planar rotation by ``theta``; an isometry, so all analytic constants are tight."""
+    """Planar rotation by ``theta``."""
     c, s = math.cos(theta), math.sin(theta)
-    m = quadratic_map([[c, -s], [s, c]], [0.0, 0.0], [], name=f"rotation({theta})")
-    return replace(m, seminorms=SeminormEstimate(c1=1.0, c1_inv=1.0, c2=0.0, provenance="analytic"))
+    return quadratic_map([[c, -s], [s, c]], [0.0, 0.0], [], name=f"rotation({theta})")
 
 
 def quadratic_map(mat, offset, hessians, region=None, name="quadratic"):
@@ -123,7 +112,7 @@ def quadratic_map(mat, offset, hessians, region=None, name="quadratic"):
     return SmoothMap(d, func_batch, jacobian_batch, second_batch, region=region, name=name)
 
 
-def quadratic_planar_constants(mat, hessians, region, epsilon=None):
+def quadratic_constants(mat, hessians, region, epsilon=None):
     """Closed-form upper bounds for the seminorms of ``quadratic_map``
     on ``region``: the quadratic part has constant second derivative, and the
     Jacobian perturbation is linear in x."""
@@ -195,9 +184,8 @@ def _build_1d_quadratic(n, seed, *, a=0.5, b=0.125):
 def _build_planar_rotations(n, seed, *, angle=0.1, length=1.0):
     seq = MapSequence(tuple(rotation_map(angle) for _ in range(n)))
     curve = reparameterize_natural(segment([0.0, 0.0], [length, 0.0]), 64)
-    c = max(m.seminorms.constant for m in seq)
     budget = HypothesisBudget(
-        C=c,
+        C=1.0,  # an isometry: ‖Df‖ = ‖Df⁻¹‖ = 1, D²f = 0
         L=n * length,
         alpha=0.0,
         c_prov="analytic",
@@ -223,9 +211,8 @@ def _build_contraction_shear(n, seed, *, epsilon=None):
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         shear = np.array([[1.0, k], [0.0, 1.0]])
         mat = s * rot @ shear
-        est = quadratic_planar_constants(mat, hessians, region, epsilon=epsilon)
-        m = quadratic_map(mat, offset, hessians, region, name=f"contraction-shear-{j}")
-        maps.append(replace(m, seminorms=est))
+        est = quadratic_constants(mat, hessians, region, epsilon=epsilon)
+        maps.append(quadratic_map(mat, offset, hessians, region, name=f"contraction-shear-{j}"))
         big_c = max(big_c, est.constant)
         rho = max(rho, est.c1)
         if epsilon is not None:

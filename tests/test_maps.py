@@ -72,21 +72,16 @@ def test_seminorms_affine_1d():
 
 
 def test_seminorms_rotation_isometry():
-    m = rotation_map(0.7)
-    bare = dataclasses.replace(m, seminorms=None)
-    est = estimate_seminorms(bare, Box([-1, -1], [1, 1]), resolution=5)
+    est = estimate_seminorms(rotation_map(0.7), Box([-1, -1], [1, 1]), resolution=5)
     assert est.c1 == pytest.approx(1.0)
     assert est.c1_inv == pytest.approx(1.0)
     assert est.c2 == pytest.approx(0.0, abs=1e-12)
 
 
-def test_seminorms_analytic_annotation_returned():
-    m = quadratic_1d(0.5, 0.125)
-    est = estimate_seminorms(m, Box([0.0], [1.0]), resolution=5)
-    assert est.provenance == "analytic"
-    assert est.c1 == pytest.approx(0.75)
-    assert est.c1_inv == pytest.approx(2.0)
-    assert est.c2 == pytest.approx(0.25)
+def test_seminorms_outside_the_maps_region_raise_instead_of_returning_a_bound():
+    # f(x) = x/2 + x²/8 lives on [0, 1]; f'(2) = 1.0 would exceed any c1 of [0, 1]
+    with pytest.raises(OutOfRegionError):
+        estimate_seminorms(quadratic_1d(0.5, 0.125), Box([0.0], [2.0]), 5)
 
 
 @pytest.mark.parametrize(
@@ -101,9 +96,8 @@ def test_a_seminorm_estimate_rejects_nan_and_an_unknown_provenance(bad):
 
 def test_sampled_seminorms_below_analytic():
     m = quadratic_1d(0.5, 0.125)
-    bare = dataclasses.replace(m, seminorms=None)
     for res in (3, 5, 9):
-        est = estimate_seminorms(bare, Box([0.0], [1.0]), resolution=res)
+        est = estimate_seminorms(m, Box([0.0], [1.0]), resolution=res)
         assert est.c1 <= 0.75 + 1e-12
         assert est.c1_inv <= 2.0 + 1e-12
         assert est.c2 <= 0.25 + 1e-12
@@ -112,11 +106,10 @@ def test_sampled_seminorms_below_analytic():
 def test_seminorms_monotone_in_nested_resolution():
     # nested grids: the refined maximum can only grow
     m = polynomial_map([[(0.3, (1, 0)), (0.05, (2, 0)), (0.04, (1, 1))], [(0.4, (0, 1))]])
-    bare = dataclasses.replace(m, seminorms=None)
     box = Box([-1, -1], [1, 1])
     prev = None
     for res in (3, 5, 9):
-        est = estimate_seminorms(bare, box, resolution=res)
+        est = estimate_seminorms(m, box, resolution=res)
         if prev is not None:
             assert est.c1 >= prev.c1 - 1e-15
             assert est.c1_inv >= prev.c1_inv - 1e-15

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdp.curves import NaturalCurve
 from bdp.distortion import run_1d, run_curve, UNVERIFIED
@@ -18,6 +20,7 @@ from bdp.scenarios import (
     fibonacci_trace_map,
     quadratic_1d,
     quadratic_1d_ratio_constants,
+    quadratic_constants,
     quadratic_map,
     rotation_map,
     sturmian_word,
@@ -124,16 +127,21 @@ def test_different_seeds_differ():
     assert not np.array_equal(a1.maps[0].func(x), a2.maps[0].func(x))
 
 
-def test_analytic_annotations_dominate_sampled_estimates():
-    # the closed-form seminorm bounds must upper-bound grid maxima
-    seq, _, _ = build_sequence(ScenarioSpec("planar-contraction-shear", n=4, seed=2))
-    for m in seq.maps:
-        ann = m.seminorms
-        assert ann is not None and ann.provenance == "analytic"
-        est = estimate_seminorms(dataclasses.replace(m, seminorms=None), ann.region, 9)
-        assert est.c1 <= ann.c1 + 1e-12
-        assert est.c2 <= ann.c2 + 1e-12
-        assert est.c1_inv <= ann.c1_inv + 1e-10
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_the_shear_budgets_c_bounds_every_maps_sampled_constant(seed):
+    seq, _, budget = build_sequence(ScenarioSpec("planar-contraction-shear", n=6, seed=seed))
+    assert budget.C >= max(estimate_seminorms(m, m.region, 9).constant for m in seq)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.5])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_the_shear_length_budget_covers_the_sampled_contraction_rate(seed, epsilon):
+    # L is Σ_{i<n} (length0·ρ^i)^ε, increasing in ρ, and every sampled c1 is at most the true ρ
+    spec = ScenarioSpec("planar-contraction-shear", n=6, seed=seed, params={"epsilon": epsilon})
+    seq, gamma0, budget = build_sequence(spec)
+    rho = max(estimate_seminorms(m, m.region, 9).c1 for m in seq)
+    power = 1.0 if epsilon is None else epsilon
+    assert budget.L >= sum((gamma0.total_length * rho**i) ** power for i in range(len(seq)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +197,46 @@ def test_a_quadratic_map_in_three_dimensions_agrees_with_the_finite_difference_o
 def test_a_quadratic_map_takes_one_hessian_per_output_or_none():
     with pytest.raises(ValueError, match="one per output"):
         quadratic_map(np.eye(2), [0.0, 0.0], [np.eye(2)])
+
+
+def shear_quadratic(seed, d):
+    """(mat, offset, Hessians, region) drawn as the contraction-shear family draws
+    them, in any dimension: mat = s·Q·(I + U), Q orthogonal, U strictly upper
+    triangular, on [-1.5, 1.5]^d."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.35, 0.5)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    shear = np.eye(d) + np.triu(rng.uniform(-0.15, 0.15, (d, d)), 1)
+    mat = s * (q * np.sign(np.diag(r))) @ shear
+    offset = rng.uniform(-0.1, 0.1, d)
+    hessians = list(rng.uniform(-0.005, 0.005, (d, d, d)))
+    return mat, offset, hessians, Box([-1.5] * d, [1.5] * d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 9))
+def test_closed_form_constants_dominate_grid_estimates(d, seed, resolution):
+    mat, offset, hessians, region = shear_quadratic(seed, d)
+    bound = quadratic_constants(mat, hessians, region)
+    est = estimate_seminorms(quadratic_map(mat, offset, hessians, region), region, resolution)
+    assert est.c1 <= bound.c1 + 1e-12
+    assert est.c1_inv <= bound.c1_inv + 1e-10
+    assert est.c2 <= bound.c2 + 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_the_closed_form_holder_constant_bounds_every_grid_quotient(seed, epsilon):
+    # ‖Df(x) − Df(y)‖₂ / ‖x − y‖^ε over every pair of a resolution-9 grid
+    mat, offset, hessians, region = shear_quadratic(seed, 2)
+    holder = quadratic_constants(mat, hessians, region, epsilon).holder[1]
+    pts = region.grid(9)
+    jac = jacobians(quadratic_map(mat, offset, hessians, region), pts)
+    i, j = np.triu_indices(len(pts), 1)
+    spread = np.linalg.norm(jac[i] - jac[j], 2, axis=(1, 2))
+    quotients = spread / np.linalg.norm(pts[i] - pts[j], axis=1) ** epsilon
+    assert quotients.max() <= holder + 1e-12
 
 
 # ---------------------------------------------------------------------------

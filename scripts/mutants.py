@@ -78,10 +78,10 @@ MUTANTS = {  # name: (file, old, new)
     ),
     "holder-diameter": (
         SCENARIOS,
-        "holder = (epsilon, h2 * region.diameter ** (1.0 - epsilon))",
-        "holder = (epsilon, h2)",
+        "h2 * region.diameter ** (1.0 - epsilon)",
+        "h2",
     ),
-    "shear-rate": (SCENARIOS, "rho = max(rho, est.c1)", "rho = max(rho, 0.9 * est.c1)"),
+    "shear-rate": (SCENARIOS, "rho = max(rho, c1)", "rho = max(rho, 0.9 * c1)"),
 }
 
 COPIED = ("src", "tests", "configs", "pyproject.toml")

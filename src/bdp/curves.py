@@ -54,12 +54,22 @@ class ParamCurve:
         return (self.pos(hi) - self.pos(lo)) / (hi - lo)[..., None]
 
 
+def _check_regular(norms, where):
+    """Raise ``RegularityError`` unless every tangent norm is positive and
+    finite, naming the first bad one, norms[k], as vanishing or non-finite,
+    and ``where(k)``."""
+    if norms.min() > 0 and norms.max() < np.inf:  # a NaN fails both
+        return
+    k = int(np.argmax(~((norms > 0) & (norms < np.inf))))
+    kind = "vanishing tangent" if norms[k] == 0 else "non-finite tangent norm"
+    raise RegularityError(f"{kind} {where(k)}")
+
+
 def _speeds(curve, ts):
     tans = curve.tan(ts)
-    sp = np.linalg.norm(tans, axis=-1)
-    if np.any(sp <= 0) or not np.all(np.isfinite(sp)):
-        bad = ts[int(np.argmin(sp))]
-        raise RegularityError(f"vanishing tangent near t={bad}")
+    with np.errstate(over="ignore"):  # a norm that overflows is non-finite, and raises below
+        sp = np.linalg.norm(tans, axis=-1)
+    _check_regular(sp, lambda k: f"near t={ts[k]}")
     return tans, sp
 
 
@@ -93,8 +103,7 @@ def length(curve, resolution=None):
 def max_angle_of_tangents(tans):
     """Maximal pairwise angle among tangent vectors, rows of ``tans``."""
     norms = np.linalg.norm(tans, axis=-1, keepdims=True)
-    if np.any(norms <= 0):
-        raise RegularityError("vanishing tangent among samples")
+    _check_regular(norms[:, 0], lambda k: f"at sample row {k}")
     unit = tans / norms
     gram = unit @ unit.T
     k, l = np.unravel_index(np.argmin(gram), gram.shape)

@@ -20,7 +20,7 @@ import numpy as np
 from .curves import NaturalCurve, _simpson_nodes, max_angle_of_tangents
 from .curves import reparameterize_natural, simpson_richardson
 from .errors import HypothesisViolationError
-from .maps import advance, second_derivatives, trusted
+from .maps import advance, second_derivatives
 
 BOUND_HOLDS = "bound-holds"
 BOUND_VIOLATED = "bound-violated"
@@ -34,8 +34,19 @@ SUBINTERVAL_TOL = 1e-9
 GAUSS_NODES = np.array([-0.5, 0.5]) / math.sqrt(3.0)
 
 
+#: every provenance a budget constant may carry, and whether a verdict trusts it:
+#: analytic values are upper bounds, sampled ones grid maxima (lower bounds of the suprema)
+PROVENANCES = {"analytic": True, "sampled": False}
 #: each budget constant and its provenance field; a constant's [budget] key is its lower case
 PROVENANCE_FIELDS = {"C": "c_prov", "L": "l_prov", "alpha": "a_prov"}
+
+
+def trusted(provenance):
+    """Whether ``provenance`` marks a trusted upper bound; ``ValueError`` for
+    a string that is not one of PROVENANCES."""
+    if provenance not in PROVENANCES:
+        raise ValueError(f"provenance must be one of {list(PROVENANCES)}, got {provenance!r}")
+    return PROVENANCES[provenance]
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,7 @@ class HypothesisBudget:
     """The constants C, L, α (and optionally ε) with per-constant provenance.
 
     A ``None`` value means "measure it from the run"; measured values are
-    sampled by definition.  Each provenance is one of ``maps.PROVENANCES``.
+    sampled by definition.  Each provenance is one of ``PROVENANCES``.
     """
 
     C: Optional[float] = None

@@ -6,15 +6,16 @@ callable to a batch one.  ``images``, ``jacobians`` and
 ``second_derivatives`` are the one evaluator: a single point is a batch of
 one, and maps without derivative callbacks get finite differences there.
 ``estimate_seminorms`` measures the C¹/C² seminorms on a grid; its values
-are lower bounds of the true suprema.  Maps carry no seminorm bounds:
-trusted (analytic) constants come from the closed forms of the scenario
-budgets.
+are lower bounds of the true suprema, so a verdict never trusts them.  Maps
+carry no seminorm bounds: which constants a verdict trusts is decided by the
+budget (``distortion.PROVENANCES``), and the analytic ones come from the
+closed forms of the scenario budgets.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -27,17 +28,6 @@ STEP1 = _EPS ** (1.0 / 3.0)
 #: finite-difference step scale for the nested differences of second derivatives
 STEP2 = _EPS ** (1.0 / 4.0)
 SINGULARITY_RTOL = 1e-14
-#: every provenance a constant or seminorm may carry, and whether a verdict trusts it:
-#: analytic values are upper bounds, sampled ones grid maxima (lower bounds of the suprema)
-PROVENANCES = {"analytic": True, "sampled": False}
-
-
-def trusted(provenance):
-    """Whether ``provenance`` marks a trusted upper bound; ``ValueError`` for
-    a string that is not one of PROVENANCES."""
-    if provenance not in PROVENANCES:
-        raise ValueError(f"provenance must be one of {list(PROVENANCES)}, got {provenance!r}")
-    return PROVENANCES[provenance]
 
 
 @dataclass(frozen=True)
@@ -77,28 +67,18 @@ class Box:
 
 @dataclass(frozen=True)
 class SeminormEstimate:
-    """Bounds on ‖f‖₁, ‖f⁻¹‖₁, ‖f‖₂ (and optionally ‖Df‖_ε) over a region.
-
-    ``provenance`` is one of PROVENANCES: "analytic" for trusted upper
-    bounds, "sampled" for grid maxima.
-    """
+    """Grid maxima of ‖f‖₁, ‖f⁻¹‖₁ and ‖f‖₂ over a region: lower bounds of
+    the suprema, hence always of the "sampled" provenance."""
 
     c1: float
     c1_inv: float
     c2: float
-    region: Optional[Box] = None
-    holder: Optional[tuple] = None  # (epsilon, value)
-    provenance: str = "sampled"
+    provenance: ClassVar[str] = "sampled"
 
     def __post_init__(self):
-        trusted(self.provenance)  # rejects an unknown provenance
         for v in (self.c1, self.c1_inv, self.c2):
             if not v >= 0:  # NaN fails it too
                 raise ValueError("seminorms must be nonnegative")
-        if self.holder is not None:
-            eps, val = self.holder
-            if not (0 < eps < 1) or not val >= 0:
-                raise ValueError("holder must be (epsilon in (0,1), value >= 0)")
 
     @property
     def constant(self):
@@ -344,7 +324,7 @@ def estimate_seminorms(m, region, resolution):
         float(_row_norms(second_derivatives(m, pts, u, v)).max())
         for u, v in _direction_pairs(region.dim)
     )
-    return SeminormEstimate(c1=c1, c1_inv=c1_inv, c2=c2, region=region, provenance="sampled")
+    return SeminormEstimate(c1, c1_inv, c2)
 
 
 def polynomial_map(components, region=None, name="polynomial"):

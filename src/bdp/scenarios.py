@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import circle_arc, reparameterize_natural, segment
 from .distortion import HypothesisBudget
-from .maps import Box, MapSequence, SeminormEstimate, SmoothMap, estimate_seminorms, pointwise
+from .maps import Box, MapSequence, SmoothMap, estimate_seminorms, pointwise
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,11 @@ def quadratic_map(mat, offset, hessians, region=None, name="quadratic"):
 
 
 def quadratic_constants(mat, hessians, region, epsilon=None):
-    """Closed-form upper bounds for the seminorms of ``quadratic_map``
-    on ``region``: the quadratic part has constant second derivative, and the
-    Jacobian perturbation is linear in x."""
+    """Closed-form upper bounds (c1, c1_inv, c2) on ‖f‖₁, ‖f⁻¹‖₁ and ‖f‖₂
+    of ``quadratic_map`` on ``region``: the quadratic part has constant second
+    derivative, and the Jacobian perturbation is linear in x.  Given ε, c2 is
+    the Hölder constant ‖D²f‖·diam^{1−ε} of Df, which the Hölder run's C
+    bounds in place of ‖f‖₂."""
     hs = [0.5 * (np.asarray(h) + np.asarray(h).T) for h in hessians]
     h2 = 2.0 * math.sqrt(sum(np.linalg.norm(h, 2) ** 2 for h in hs))
     radius = float(np.linalg.norm(np.maximum(np.abs(region.lo), np.abs(region.hi))))
@@ -125,12 +127,8 @@ def quadratic_constants(mat, hessians, region, epsilon=None):
     if delta >= 1:
         raise ValueError("quadratic perturbation too large for an inverse bound")
     c1_inv = inv_norm / (1.0 - delta)
-    holder = None
-    if epsilon is not None:
-        holder = (epsilon, h2 * region.diameter ** (1.0 - epsilon))
-    return SeminormEstimate(
-        c1=c1, c1_inv=c1_inv, c2=h2, region=region, holder=holder, provenance="analytic"
-    )
+    c2 = h2 if epsilon is None else h2 * region.diameter ** (1.0 - epsilon)
+    return c1, c1_inv, c2
 
 
 def fibonacci_trace_map(region=None):
@@ -196,12 +194,12 @@ def _build_planar_rotations(n, seed, *, angle=0.1, length=1.0):
 
 
 def _build_contraction_shear(n, seed, *, epsilon=None):
+    HypothesisBudget(epsilon=epsilon)  # the budget's rule for ε, before a power of it overflows
     rng = np.random.default_rng(seed)
     region = Box([-1.5, -1.5], [1.5, 1.5])
     maps = []
     big_c = 0.0
     rho = 0.0
-    holder_c = 0.0
     for j in range(n):
         s = rng.uniform(0.35, 0.5)
         theta = rng.uniform(-0.3, 0.3)
@@ -211,12 +209,10 @@ def _build_contraction_shear(n, seed, *, epsilon=None):
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         shear = np.array([[1.0, k], [0.0, 1.0]])
         mat = s * rot @ shear
-        est = quadratic_constants(mat, hessians, region, epsilon=epsilon)
+        c1, c1_inv, c2 = quadratic_constants(mat, hessians, region, epsilon)
         maps.append(quadratic_map(mat, offset, hessians, region, name=f"contraction-shear-{j}"))
-        big_c = max(big_c, est.constant)
-        rho = max(rho, est.c1)
-        if epsilon is not None:
-            holder_c = max(holder_c, est.c1, est.c1_inv, est.holder[1])
+        big_c = max(big_c, c1, c1_inv, c2)
+        rho = max(rho, c1)
     if rho >= 1:
         raise ValueError("drawn maps are not uniform contractions")
     curve = circle_arc(1.0, 0.0, math.pi / 2)
@@ -225,12 +221,10 @@ def _build_contraction_shear(n, seed, *, epsilon=None):
     alpha_budget = n * math.pi  # maximal angle of a curve never exceeds π
     if epsilon is None:
         length_budget = length0 * (1.0 - rho**n) / (1.0 - rho)
-        c_used = big_c
     else:
         length_budget = sum((length0 * rho**i) ** epsilon for i in range(n))
-        c_used = holder_c
     budget = HypothesisBudget(
-        C=c_used,
+        C=big_c,
         L=length_budget,
         alpha=alpha_budget,
         epsilon=epsilon,

@@ -505,6 +505,7 @@ def test_a_key_or_section_nothing_reads_fails_check_and_run(tmp_path, monkeypatc
 
 ROTATIONS_MAIN = (CONFIGS / "rotations_main.cfg").read_text()
 VIOLATED_BUDGET = (CONFIGS / "violated_budget.cfg").read_text()
+HOLDER_SHEAR = (CONFIGS / "holder_shear.cfg").read_text()
 BAD_VALUES = {  # config text, what stderr must name
     "nan-angle": (ROTATIONS_MAIN.replace("angle = 0.1", "angle = nan"), "[scenario] angle"),
     "inf-length": (ROTATIONS_MAIN.replace("angle = 0.1", "length = inf"), "[scenario] length"),
@@ -528,6 +529,12 @@ BAD_VALUES = {  # config text, what stderr must name
         ROTATIONS_MAIN.replace("samples = 128", "samples = 2.5"), "[experiment] samples"
     ),
     "fractional-n": (ROTATIONS_MAIN.replace("n = 5", "n = 2.5"), "[scenario] n"),
+    # ε outside (0, 1), rejected before the budget's powers of it could overflow
+    "shear-epsilon-1": (HOLDER_SHEAR.replace("epsilon = 0.5", "epsilon = 1"), "epsilon"),
+    "shear-epsilon-1e308": (HOLDER_SHEAR.replace("epsilon = 0.5", "epsilon = 1e308"), "epsilon"),
+    "shear-epsilon-minus-1000": (
+        HOLDER_SHEAR.replace("epsilon = 0.5", "epsilon = -1000"), "epsilon"
+    ),
     "misspelled-provenance": (VIOLATED_BUDGET.replace("= analytic", "= analytc"), "'analytc'"),
     "provenance-without-a-constant": (
         ROTATIONS_MAIN + "[budget]\nprovenance = sampled\n", "[budget] provenance"

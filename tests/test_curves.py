@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,6 +13,7 @@ from bdp import (
     reparameterize_natural,
     segment,
 )
+from bdp.curves import max_angle_of_tangents
 from bdp.errors import RegularityError
 from bdp.maps import pointwise
 
@@ -129,10 +133,53 @@ def test_vanishing_tangent_rejected():
         position=pointwise(lambda t: np.array([t * t, 0.0])),
         tangent=pointwise(lambda t: np.array([2.0 * t, 0.0])),
     )
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match=r"^vanishing tangent near t=0\.0$"):
         length(c, 64)
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match=r"^vanishing tangent near t=0\.0$"):
         reparameterize_natural(c, 64)
+
+
+def _exp700(t):
+    with np.errstate(over="ignore"):
+        return np.exp(700.0 * t)
+
+
+#: t ↦ (t, e^{700t}/700) on [0, 1.1]: the norm of its tangent (1, e^{700t}) overflows
+#: once e^{700t} passes √(float max), and the tangent itself near t ≈ 1.014
+OVERFLOWING = ParamCurve(
+    domain=(0.0, 1.1),
+    position=lambda t: np.stack([t, _exp700(t) / 700.0], axis=1),
+    tangent=lambda t: np.stack([np.ones_like(t), _exp700(t)], axis=1),
+)
+
+
+@pytest.mark.parametrize(
+    "measure, nodes",  # the size of each measure's grid on the domain at resolution 64
+    [(length, 129), (max_angle, 65), (reparameterize_natural, 129)],
+    ids=["length", "max_angle", "reparameterize_natural"],
+)
+def test_an_overflowing_tangent_norm_is_non_finite_at_its_first_parameter(measure, nodes):
+    grid = np.linspace(0.0, 1.1, nodes)
+    first = grid[grid > math.log(math.sqrt(sys.float_info.max)) / 700.0][0]
+    with pytest.raises(RegularityError) as info:
+        measure(OVERFLOWING, 64)
+    assert str(info.value) == f"non-finite tangent norm near t={first}"
+
+
+@pytest.mark.parametrize(
+    "row, kind",
+    [
+        ([np.nan, 0.0], "non-finite tangent norm"),
+        ([np.inf, 1.0], "non-finite tangent norm"),
+        ([0.0, 0.0], "vanishing tangent"),
+    ],
+    ids=["nan", "inf", "zero"],
+)
+def test_a_bad_tangent_among_samples_is_named_by_its_row(row, kind):
+    tans = np.array([[1.0, 0.0], [0.0, 1.0], row, [0.0, 0.0]])
+    with pytest.raises(RegularityError) as info:
+        max_angle_of_tangents(tans)
+    assert str(info.value) == f"{kind} at sample row 2"
 
 
 def test_degenerate_domain_rejected():

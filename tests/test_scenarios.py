@@ -218,11 +218,11 @@ def shear_quadratic(seed, d):
 @given(st.integers(0, 2**32 - 1), st.integers(5, 9))
 def test_closed_form_constants_dominate_grid_estimates(d, seed, resolution):
     mat, offset, hessians, region = shear_quadratic(seed, d)
-    bound = quadratic_constants(mat, hessians, region)
+    c1, c1_inv, c2 = quadratic_constants(mat, hessians, region)
     est = estimate_seminorms(quadratic_map(mat, offset, hessians, region), region, resolution)
-    assert est.c1 <= bound.c1 + 1e-12
-    assert est.c1_inv <= bound.c1_inv + 1e-10
-    assert est.c2 <= bound.c2 + 1e-12
+    assert est.c1 <= c1 + 1e-12
+    assert est.c1_inv <= c1_inv + 1e-10
+    assert est.c2 <= c2 + 1e-12
 
 
 @pytest.mark.parametrize("epsilon", [0.3, 0.5, 0.7])
@@ -230,7 +230,7 @@ def test_closed_form_constants_dominate_grid_estimates(d, seed, resolution):
 def test_the_closed_form_holder_constant_bounds_every_grid_quotient(seed, epsilon):
     # ‖Df(x) − Df(y)‖₂ / ‖x − y‖^ε over every pair of a resolution-9 grid
     mat, offset, hessians, region = shear_quadratic(seed, 2)
-    holder = quadratic_constants(mat, hessians, region, epsilon).holder[1]
+    holder = quadratic_constants(mat, hessians, region, epsilon)[2]
     pts = region.grid(9)
     jac = jacobians(quadratic_map(mat, offset, hessians, region), pts)
     i, j = np.triu_indices(len(pts), 1)

@@ -1,5 +1,5 @@
-"""Planted faults in the engines and in the closed-form scenario constants
-that the tier-1 tests must catch.
+"""Planted faults in the engines, the closed-form scenario constants, the
+curves and the difference rule that the tier-1 tests must catch.
 
 Each mutant is one (file, old, new) triple.  The script copies ``src/``,
 ``tests/``, ``configs/`` and ``pyproject.toml`` into a temporary directory
@@ -24,6 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/bdp/distortion.py"
 SCENARIOS = "src/bdp/scenarios.py"
+CURVES = "src/bdp/curves.py"
+MAPS = "src/bdp/maps.py"
 
 MUTANTS = {  # name: (file, old, new)
     "tolerance": (ENGINE, "REPORT_TOL = 1e-9", "REPORT_TOL = 1e-3"),
@@ -82,6 +84,17 @@ MUTANTS = {  # name: (file, old, new)
         "h2",
     ),
     "shear-rate": (SCENARIOS, "rho = max(rho, c1)", "rho = max(rho, 0.9 * c1)"),
+    "curve-dimension": (CURVES, '"dim", len(self.pos(a))', '"dim", 2'),
+    "one-sided-order": (
+        MAPS,
+        "side = sign * (4.0 * vals[0] - vals[1] - 3.0 * vals[2]) / (2.0 * h[:, None])",
+        "side = sign * (vals[0] - vals[2]) / h[:, None]",
+    ),
+    "scaled-norm": (
+        CURVES,
+        "norms[redo] = big * np.linalg.norm(tans[redo] / big[:, None], axis=-1)",
+        "norms[redo] = np.linalg.norm(tans[redo], axis=-1)",
+    ),
 }
 
 COPIED = ("src", "tests", "configs", "pyproject.toml")

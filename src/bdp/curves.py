@@ -1,14 +1,15 @@
 """Regular C¹ curves: length, maximal angle and arc-length reparameterization."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import RegularityError
-from .maps import _row_norms
+from .maps import STEP1, Box, _differences, _row_norms, _steps
 
-_EPS = np.finfo(float).eps
+#: √(smallest normal double): below it a norm's squares may underflow
+_TINY_NORM = np.sqrt(np.finfo(float).tiny)
 #: the default grid size of ``length``, ``max_angle`` and ``reparameterize_natural``
 SAMPLE_RESOLUTION = 512
 
@@ -25,41 +26,50 @@ class ParamCurve:
 
     ``position`` and ``tangent`` map a 1-D array of N parameters to (N, d)
     rows; ``maps.pointwise`` lifts a one-parameter callable to one.  ``pos``
-    and ``tan`` take one parameter or a 1-D array of them.  Without an
-    analytic ``tangent`` the tangent is taken by central finite differences
-    of the position (one-sided at the endpoints).
+    and ``tan`` take one parameter or a 1-D array of them.  ``dim`` is read
+    from the position at a.  Without an analytic ``tangent`` the position is
+    differenced by the maps' rule (``maps._differences``): central inside
+    [a, b], second-order one-sided at its ends.
     """
 
     domain: tuple
     position: Callable
     tangent: Optional[Callable] = None
-    dim: int = 2
+    dim: int = field(init=False)
 
     def __post_init__(self):
         a, b = self.domain
         if not a < b:
             raise ValueError("curve domain must satisfy a < b")
         object.__setattr__(self, "domain", (float(a), float(b)))
+        object.__setattr__(self, "dim", len(self.pos(a)))
 
     def pos(self, t):
         return _at(t, self.position)
 
     def tan(self, t):
-        if self.tangent is not None:
-            return _at(t, self.tangent)
-        a, b = self.domain
-        h = max(b - a, 1.0) * _EPS ** (1.0 / 3.0)
-        t = np.asarray(t, dtype=float)
-        lo, hi = np.maximum(a, t - h), np.minimum(b, t + h)
-        return (self.pos(hi) - self.pos(lo)) / (hi - lo)[..., None]
+        return _at(t, self._differenced if self.tangent is None else self.tangent)
+
+    def _differenced(self, ts):
+        (a, b), pts = self.domain, ts[:, None]
+        g = lambda p: self.position(p[:, 0])  # noqa: E731
+        return _differences(g, pts, np.ones(1), _steps(pts, STEP1), Box([a], [b]))
 
 
-def _check_regular(norms, where):
-    """Raise ``RegularityError`` unless every tangent norm is positive and
-    finite, naming the first bad one, norms[k], as vanishing or non-finite,
-    and ``where(k)``."""
+def _tangent_norms(tans, where):
+    """The norms of the tangent rows ``tans``, each positive and finite, or
+    ``RegularityError`` naming the first bad one, norms[k], as vanishing or
+    non-finite, and ``where(k)``.  A finite, nonzero row whose plain norm is
+    inf or below √(smallest normal double) has it re-taken scaled by its
+    largest entry, so its squares neither overflow nor underflow."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(tans, axis=-1)
+    redo = (norms < _TINY_NORM) | (norms == np.inf)
+    redo &= np.isfinite(tans).all(axis=-1) & tans.any(axis=-1)
+    big = np.abs(tans[redo]).max(axis=-1)
+    norms[redo] = big * np.linalg.norm(tans[redo] / big[:, None], axis=-1)
     if norms.min() > 0 and norms.max() < np.inf:  # a NaN fails both
-        return
+        return norms
     k = int(np.argmax(~((norms > 0) & (norms < np.inf))))
     kind = "vanishing tangent" if norms[k] == 0 else "non-finite tangent norm"
     raise RegularityError(f"{kind} {where(k)}")
@@ -67,10 +77,7 @@ def _check_regular(norms, where):
 
 def _speeds(curve, ts):
     tans = curve.tan(ts)
-    with np.errstate(over="ignore"):  # a norm that overflows is non-finite, and raises below
-        sp = np.linalg.norm(tans, axis=-1)
-    _check_regular(sp, lambda k: f"near t={ts[k]}")
-    return tans, sp
+    return tans, _tangent_norms(tans, lambda k: f"near t={ts[k]}")
 
 
 def _simpson(values, h):
@@ -102,9 +109,8 @@ def length(curve, resolution=None):
 
 def max_angle_of_tangents(tans):
     """Maximal pairwise angle among tangent vectors, rows of ``tans``."""
-    norms = np.linalg.norm(tans, axis=-1, keepdims=True)
-    _check_regular(norms[:, 0], lambda k: f"at sample row {k}")
-    unit = tans / norms
+    tans = np.asarray(tans, dtype=float)
+    unit = tans / _tangent_norms(tans, lambda k: f"at sample row {k}")[:, None]
     gram = unit @ unit.T
     k, l = np.unravel_index(np.argmin(gram), gram.shape)
     # chord formula: exact at angle 0 where arccos(dot) loses ~1e-8 to round-off
@@ -126,8 +132,8 @@ class NaturalCurve:
     ``t_table``/``s_table`` map the original parameter to arc length; the
     natural domain is [0, total length].  The tangent is the normalized
     tangent of the underlying curve, hence unit speed up to the tolerance of
-    the table inversion.  ``position`` and ``tangent`` interpolate one
-    parameter or a 1-D array of them in one call.
+    the table inversion.  ``pos`` and ``tan`` interpolate one parameter or a
+    1-D array of them in one call.
     """
 
     original: ParamCurve
@@ -146,15 +152,12 @@ class NaturalCurve:
     def total_length(self):
         return float(self.s_table[-1])
 
-    def position(self, s):
+    def pos(self, s):
         return self.original.pos(np.interp(s, self.s_table, self.t_table))
 
-    def tangent(self, s):
+    def tan(self, s):
         tans = self.original.tan(np.interp(s, self.s_table, self.t_table))
         return tans / _row_norms(tans)[..., None]
-
-    pos = position
-    tan = tangent
 
 
 def reparameterize_natural(curve, resolution=None):
@@ -184,7 +187,6 @@ def segment(p0, p1):
         domain=(0.0, gap),
         position=lambda t: p0 + t[:, None] * direction,
         tangent=lambda t: np.tile(direction, (len(t), 1)),
-        dim=p0.size,
     )
 
 
@@ -196,5 +198,4 @@ def circle_arc(radius=1.0, t0=0.0, t1=np.pi / 2):
         domain=(t0, t1),
         position=lambda t: np.stack([radius * np.cos(t), radius * np.sin(t)], axis=1),
         tangent=lambda t: np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=1),
-        dim=2,
     )

@@ -28,6 +28,8 @@ STEP1 = _EPS ** (1.0 / 3.0)
 #: finite-difference step scale for the nested differences of second derivatives
 STEP2 = _EPS ** (1.0 / 4.0)
 SINGULARITY_RTOL = 1e-14
+#: how far outside a ``Box`` a point may lie and still count as inside it
+BOX_PAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,10 @@ class Box:
     def dim(self):
         return self.lo.size
 
-    def contains(self, x, pad=1e-12):
-        """True where ``x``, one point or each row of a point batch, lies in the box."""
-        return np.all(x >= self.lo - pad, axis=-1) & np.all(x <= self.hi + pad, axis=-1)
+    def contains(self, x):
+        """True where ``x``, one point or each row of a point batch, lies in
+        the box widened by ``BOX_PAD``."""
+        return np.all(x >= self.lo - BOX_PAD, axis=-1) & np.all(x <= self.hi + BOX_PAD, axis=-1)
 
     def grid(self, resolution):
         """Cartesian grid with ``resolution`` points per axis, shape (N, d)."""

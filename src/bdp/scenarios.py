@@ -131,7 +131,7 @@ def quadratic_constants(mat, hessians, region, epsilon=None):
     return c1, c1_inv, c2
 
 
-def fibonacci_trace_map(region=None):
+def fibonacci_trace_map():
     """The Fibonacci trace map (x, y, z) ↦ (2xy − z, x, y)."""
     # kept lifted: a constant one fits 2x the bench cases per run; pointwise-maps peak memory +6%
 
@@ -156,7 +156,6 @@ def fibonacci_trace_map(region=None):
         func_batch=func_batch,
         jacobian_batch=jacobian_batch,
         second_batch=pointwise(second),
-        region=region,
         name="fibonacci-trace-map",
     )
 

@@ -6,16 +6,21 @@ import pytest
 from scipy.integrate import quad
 
 from bdp import (
+    HypothesisBudget,
+    MapSequence,
     ParamCurve,
     circle_arc,
     length,
     max_angle,
     reparameterize_natural,
+    run_curve,
     segment,
 )
 from bdp.curves import max_angle_of_tangents
+from bdp.distortion import UNVERIFIED
 from bdp.errors import RegularityError
 from bdp.maps import pointwise
+from bdp.scenarios import quadratic_map
 
 
 def parabola():
@@ -68,8 +73,8 @@ def test_reparam_constant_speed_two():
     nat = reparameterize_natural(c, 64)
     assert nat.total_length == pytest.approx(2.0, abs=1e-12)
     for s in np.linspace(0, 2, 9):
-        assert np.linalg.norm(nat.tangent(s)) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(nat.position(s), [s, 0.0], atol=1e-9)
+        assert np.linalg.norm(nat.tan(s)) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(nat.pos(s), [s, 0.0], atol=1e-9)
 
 
 def test_reparam_circle_radius_two():
@@ -77,15 +82,15 @@ def test_reparam_circle_radius_two():
     assert nat.total_length == pytest.approx(2.0 * np.pi, abs=1e-8)
     for s in np.linspace(0, nat.total_length, 33):
         expected = np.array([2.0 * np.cos(s / 2.0), 2.0 * np.sin(s / 2.0)])
-        assert np.allclose(nat.position(s), expected, atol=1e-4)
-        assert np.linalg.norm(nat.tangent(s)) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(nat.pos(s), expected, atol=1e-4)
+        assert np.linalg.norm(nat.tan(s)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reparam_finite_difference_speed():
     nat = reparameterize_natural(parabola(), 1024)
     h = 1e-2
     for s in np.linspace(h, nat.total_length - h, 11):
-        speed = np.linalg.norm(nat.position(s + h) - nat.position(s - h)) / (2 * h)
+        speed = np.linalg.norm(nat.pos(s + h) - nat.pos(s - h)) / (2 * h)
         assert speed == pytest.approx(1.0, abs=1e-3)
 
 
@@ -144,8 +149,8 @@ def _exp700(t):
         return np.exp(700.0 * t)
 
 
-#: t ↦ (t, e^{700t}/700) on [0, 1.1]: the norm of its tangent (1, e^{700t}) overflows
-#: once e^{700t} passes √(float max), and the tangent itself near t ≈ 1.014
+#: t ↦ (t, e^{700t}/700) on [0, 1.1]: its tangent (1, e^{700t}) overflows near t ≈ 1.014;
+#: before that its squares overflow, once e^{700t} passes √(float max), but its norm does not
 OVERFLOWING = ParamCurve(
     domain=(0.0, 1.1),
     position=lambda t: np.stack([t, _exp700(t) / 700.0], axis=1),
@@ -160,7 +165,7 @@ OVERFLOWING = ParamCurve(
 )
 def test_an_overflowing_tangent_norm_is_non_finite_at_its_first_parameter(measure, nodes):
     grid = np.linspace(0.0, 1.1, nodes)
-    first = grid[grid > math.log(math.sqrt(sys.float_info.max)) / 700.0][0]
+    first = grid[grid > math.log(sys.float_info.max) / 700.0][0]
     with pytest.raises(RegularityError) as info:
         measure(OVERFLOWING, 64)
     assert str(info.value) == f"non-finite tangent norm near t={first}"
@@ -180,6 +185,15 @@ def test_a_bad_tangent_among_samples_is_named_by_its_row(row, kind):
     with pytest.raises(RegularityError) as info:
         max_angle_of_tangents(tans)
     assert str(info.value) == f"{kind} at sample row 2"
+
+
+@pytest.mark.parametrize(
+    "tans",
+    [[[1.0, 0.0], [1e200, 1e200]], [[1e-170, 0.0], [1e-170, 1e-170]]],
+    ids=["squares-overflow", "squares-underflow"],
+)
+def test_tangents_whose_squares_leave_the_doubles_keep_their_angle(tans):
+    assert max_angle_of_tangents(tans) == pytest.approx(np.pi / 4, rel=1e-15)
 
 
 def test_degenerate_domain_rejected():
@@ -204,9 +218,23 @@ def test_finite_difference_tangent_of_the_parabola():
     interior = max(np.max(np.abs(c.tan(t) - exact(t))) for t in np.linspace(0.01, 0.99, 99))
     assert interior <= 1e-10
     for t in (0.0, 1.0):
-        assert np.max(np.abs(c.tan(t) - exact(t))) <= 1e-5
+        assert np.max(np.abs(c.tan(t) - exact(t))) <= 1e-9
     oracle, _ = quad(lambda t: np.sqrt(1.0 + 4.0 * t * t), 0.0, 1.0)
     assert length(c, 256) == pytest.approx(oracle, abs=1e-8)
+
+
+def test_a_position_only_helix_is_three_dimensional_and_runs_through_3d_maps():
+    helix = ParamCurve(
+        domain=(0.0, 2.0 * np.pi),
+        position=lambda t: np.stack([0.5 * np.cos(t), 0.5 * np.sin(t), 0.1 * t], axis=1),
+    )
+    assert helix.dim == 3
+    exact = np.array([-0.5 * np.sin(1.0), 0.5 * np.cos(1.0), 0.1])
+    assert np.max(np.abs(helix.tan(1.0) - exact)) <= 1e-10
+    seq = MapSequence([quadratic_map(0.5 * np.eye(3), np.zeros(3), []) for _ in range(3)])
+    report = run_curve(seq, helix, 20, 32, HypothesisBudget(C=1.0, c_prov="analytic"))
+    assert report.verdict == UNVERIFIED  # L and α are sampled
+    assert report.empirical == pytest.approx(0.0, abs=1e-12)  # 0.5·I distorts nothing
 
 
 ARRAY_CURVES = {
